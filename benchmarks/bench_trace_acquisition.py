@@ -18,7 +18,7 @@ Runs two ways:
   ``results/trace_acquisition.{txt,json}`` for EXPERIMENTS.md);
 * as a script: ``python benchmarks/bench_trace_acquisition.py --smoke``
   runs a four-kernel slice with the same assertions and *no* result
-  files — the cheap CI gate against translator regressions.
+  files — the cheap CI gate against engine regressions.
 """
 
 import json
@@ -70,10 +70,10 @@ def _acquisition_rows(names):
     """Per-kernel interp/turbo/native MIPS, asserting bit-identity.
 
     All backends are timed best-of-two on fresh simulator instances;
-    native's first run compiles its translation unit (the ``cold``
-    column — the ``.so`` is content-addressed per machine, so every
-    later process reuses it), the ``native MIPS`` / speedup columns are
-    the warm steady state that profiling and fleet acquisition pay.
+    native's first run builds the program's decoded arrays (the
+    ``cold`` column; the engine itself is compiled once per machine),
+    the ``native MIPS`` / speedup columns are the warm steady state
+    that profiling and fleet acquisition pay.
     """
     rows = []
     for index, name in enumerate(names):

@@ -43,9 +43,9 @@ cache (``REPRO_CACHE_DIR``, disable with ``REPRO_CACHE=off``): a warm
 cache skips the functional simulations entirely and the run manifest
 records the cache hits/misses that produced the result.
 
-``--sim-backend {auto,turbo,interp}`` (or ``REPRO_SIM_BACKEND``) picks
-the functional-simulator engine; the resolved backend is part of every
-artifact cache key and appears in manifests and ``repro report``.
+``--sim-backend {auto,native,turbo,interp}`` (or ``REPRO_SIM_BACKEND``)
+picks the functional-simulator engine; the resolved backend is part of
+every artifact cache key and appears in manifests and ``repro report``.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad target, 3 load failure,
 4 lint findings (error severity, or any finding under ``lint --strict``),

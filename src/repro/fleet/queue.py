@@ -116,6 +116,12 @@ class FleetQueue:
             if exc.errno == errno.EEXIST:
                 return False
             raise
+        if self.has_result(cell_id):
+            # A sibling published and released between the check above
+            # and our lease: the cell is done, do not run it again.
+            os.close(fd)
+            self.release(cell_id)
+            return False
         record = self._lease_record(worker)
         with os.fdopen(fd, "w") as handle:
             json.dump(record, handle)

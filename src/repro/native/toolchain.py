@@ -1,12 +1,24 @@
 """Shared native toolchain: cc probe, compile-once cache, loading.
 
 Both native engines — the sweep's scheduling loop
-(:mod:`repro.uarch.native`) and the functional-execution engine
-(:mod:`repro.sim.native`) — need the same machinery: a ``REPRO_NATIVE``
-gate, a C-compiler probe, and a content-addressed compile cache under
-the repro cache dir.  This module is that machinery, factored out so
-there is a single gate, one compile cache, and one probe event per
-process no matter how many engines are in play.
+(:mod:`repro.uarch.native`) and the functional interpreter
+(:mod:`repro.sim.native`) — are fixed C sources embedded in their
+modules and compiled once per machine, never per program.  They need
+the same machinery: a ``REPRO_NATIVE`` gate, a C-compiler probe, and a
+compile cache under the repro cache dir.  This module is that
+machinery, factored out so there is a single gate, one compile cache,
+and one probe event per process no matter how many engines are in
+play.
+
+A cached library is keyed by its source, the compiler flags (:data:`CC`)
+and the compiler's identity (the first line of ``cc --version``,
+captured once per process by :func:`probe` and memoized per compiler
+binary), so one cache dir shared by hosts with different toolchains
+never serves a foreign build.  Every
+build is visible: a ``native.compile`` span plus the ``native.compiles``
+/ ``native.compile_hits`` / ``native.compile_seconds`` registry
+counters, so manifests and ``repro report`` show compile time apart
+from ``sim.run``.
 
 Everything degrades gracefully: no C compiler, a failed compile, or
 ``REPRO_NATIVE=off`` means :func:`load_library` returns ``None`` and
@@ -18,10 +30,14 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
+import time
 
 from repro.obs.logging import get_logger
+from repro.obs.metrics import REGISTRY
+from repro.obs.timing import span
 
 _LOG = get_logger("repro.native.toolchain")
 
@@ -32,6 +48,9 @@ CC = ("cc", "-O2", "-shared", "-fPIC")
 
 #: None = not yet probed this process, else bool (cc works).
 _PROBE = None
+
+#: First line of ``cc --version``; None = not yet captured this process.
+_IDENTITY = None
 
 #: One-line library whose successful compile+dlopen proves the
 #: toolchain works; cached like any engine source, so later processes
@@ -49,27 +68,74 @@ def cache_dir():
     return os.path.join(default_cache_dir(), "native")
 
 
+def compiler_identity():
+    """The first line of ``cc --version``, captured once per process.
+
+    The line is memoized in the cache dir per compiler binary (resolved
+    path, size, mtime), so a warm process never spawns ``cc`` just to
+    learn it: a child exec'd from a large process reports the parent's
+    resident set as its own peak, which would inflate every caller's
+    peak-RSS accounting.  Raises ``OSError`` /
+    ``subprocess.SubprocessError`` when the compiler cannot be run.
+    """
+    global _IDENTITY
+    if _IDENTITY is None:
+        binary = shutil.which(CC[0])
+        if binary is None:
+            raise FileNotFoundError(f"C compiler {CC[0]!r} not found")
+        binary = os.path.realpath(binary)
+        info = os.stat(binary)
+        stamp = hashlib.sha256(
+            f"{binary}\0{info.st_size}\0{info.st_mtime_ns}".encode()
+        ).hexdigest()[:16]
+        memo = os.path.join(cache_dir(), f"cc-{stamp}.txt")
+        try:
+            with open(memo) as handle:
+                _IDENTITY = handle.read()
+        except OSError:
+            done = subprocess.run([binary, "--version"], check=True,
+                                  capture_output=True, text=True,
+                                  timeout=30)
+            _IDENTITY = (done.stdout.splitlines() or [""])[0].strip()
+            with contextlib.suppress(OSError):
+                os.makedirs(cache_dir(), exist_ok=True)
+                fd, staged = tempfile.mkstemp(suffix=".txt",
+                                              dir=cache_dir())
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(_IDENTITY)
+                os.replace(staged, memo)
+    return _IDENTITY
+
+
 def compile_cached(source, stem):
     """Build (or reuse) the content-addressed shared library; its path.
 
-    Keyed by source hash so any edit to the C source rebuilds cleanly;
-    concurrent builders race benignly through a temp-file rename.
+    Keyed by source, compiler flags and compiler identity, so an edit
+    to any of them rebuilds cleanly; concurrent builders race benignly
+    through a temp-file rename.
     """
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    key = "\0".join((source, " ".join(CC), compiler_identity()))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     directory = cache_dir()
     library = os.path.join(directory, f"{stem}-{digest}.so")
     if os.path.exists(library):
+        REGISTRY.counter("native.compile_hits").inc()
         return library
     os.makedirs(directory, exist_ok=True)
     fd, source_path = tempfile.mkstemp(suffix=".c", dir=directory)
+    started = time.perf_counter()
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(source)
         staged = source_path[:-2] + ".so"
-        subprocess.run([*CC, "-o", staged, source_path, "-lm"],
-                       check=True, capture_output=True, timeout=120)
+        with span("native.compile", stem=stem):
+            subprocess.run([*CC, "-o", staged, source_path, "-lm"],
+                           check=True, capture_output=True, timeout=120)
         os.replace(staged, library)
     finally:
+        REGISTRY.counter("native.compiles").inc()
+        REGISTRY.counter("native.compile_seconds").inc(
+            time.perf_counter() - started)
         for leftover in (source_path, source_path[:-2] + ".so"):
             if os.path.exists(leftover):
                 with contextlib.suppress(OSError):
@@ -82,17 +148,20 @@ def probe():
 
     The outcome is cached for the process and logged exactly once, so
     a missing compiler costs one failed ``cc`` invocation total — not
-    one per engine.
+    one per engine.  It also captures the compiler identity that keys
+    every cached library.
     """
     global _PROBE
     if _PROBE is None:
         try:
+            compiler_identity()
             ctypes.CDLL(compile_cached(_PROBE_SOURCE, "probe"))
         except (OSError, subprocess.SubprocessError, ValueError) as exc:
             _LOG.warning("native.probe", available=False, error=str(exc))
             _PROBE = False
         else:
-            _LOG.info("native.probe", available=True)
+            _LOG.info("native.probe", available=True,
+                      compiler=_IDENTITY)
             _PROBE = True
     return _PROBE
 
@@ -111,6 +180,8 @@ def load_library(source, stem):
 
 
 def reset():
-    """Forget the probe result (tests toggling REPRO_NATIVE / cc)."""
-    global _PROBE
+    """Forget the probe result and compiler identity (tests toggling
+    REPRO_NATIVE / cc)."""
+    global _PROBE, _IDENTITY
     _PROBE = None
+    _IDENTITY = None

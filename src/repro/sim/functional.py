@@ -79,12 +79,13 @@ class FunctionalSimulator:
     ``backend`` selects the execution engine: ``interp`` is this
     module's per-instruction reference loop, ``turbo`` the
     block-compiling Python backend in :mod:`repro.sim.turbo`,
-    ``native`` the C-compiled engine in :mod:`repro.sim.native`, and
-    ``auto`` (the default, also settable via ``REPRO_SIM_BACKEND``)
-    picks the fastest engine that can take the program — native when
-    the toolchain is available, else turbo, else (below the codegen
-    amortization threshold) the interpreter.  All backends are
-    bit-identical; the choice only affects wall time.
+    ``native`` the fixed C interpreter in :mod:`repro.sim.native`
+    (compiled once per machine, never per program), and ``auto`` (the
+    default, also settable via ``REPRO_SIM_BACKEND``) picks the fastest
+    engine that can take the program — native when the toolchain is
+    available, else turbo, else (below the codegen amortization
+    threshold) the interpreter.  All backends are bit-identical; the
+    choice only affects wall time.
     """
 
     def __init__(self, program, memory_size=None, backend=None):
@@ -473,7 +474,7 @@ def run_program(program, max_instructions=50_000_000, trace=True,
 
     With ``trace=False`` returns the finished simulator instead (useful to
     inspect final memory/registers in tests).  ``backend`` selects the
-    execution engine (``auto``/``turbo``/``interp``); see
+    execution engine (``auto``/``native``/``turbo``/``interp``); see
     :class:`FunctionalSimulator`.
     """
     from repro.obs.timing import span

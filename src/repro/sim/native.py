@@ -1,13 +1,14 @@
 """Native functional-execution backend (``repro.sim.native``).
 
-Translates one :class:`~repro.isa.program.Program` into C — every
-static instruction becomes a labelled straight-line statement with its
-register indices, immediates, branch targets, link addresses, and
-memory-bounds constants folded in as literals; direct control flow
-becomes ``goto``; indirect jumps re-enter a ``switch`` dispatch —
-compiles it once per machine through the shared :mod:`repro.native`
-toolchain (content-addressed by generated source, so identical
-programs share one ``.so`` across processes), and drives it via ctypes.
+One fixed C interpreter — embedded below as source, compiled once per
+machine through the shared :mod:`repro.native` toolchain, exactly like
+the sweep's timing loop in :mod:`repro.uarch.native` — executes every
+program.  Nothing is generated per program: each program is lowered
+once to flat decoded arrays (op id, register indices, a pre-masked
+``uint32`` constant, an ``fli`` double, the branch/jump target), cached
+on its shared :class:`~repro.isa.columns.ProgramColumns`, and handed to
+the engine by pointer.  A fresh clone therefore costs no compile at all.
+
 The engine writes the columnar trace event arrays *directly* into
 fixed-size chunks: no per-instruction Python dispatch, no Python-object
 trace, bounded memory on long caps.
@@ -23,14 +24,14 @@ raises its cap error), then resumes the same instruction with the
 pre-increment count restored.
 
 Everything degrades gracefully: no C compiler, ``REPRO_NATIVE=off``, or
-a program the translator does not cover (operands outside the register
-file its opcode format implies, oversized statics) simply means the
-engine is unavailable and callers fall back to turbo.  Semantics are
-identical either way; only the wall time differs.
+a program whose operands lie outside the register file its opcode
+format implies simply means the engine is unavailable and callers fall
+back to turbo.  Semantics are identical either way; only the wall time
+differs.
 """
 
 import ctypes
-import math
+import functools
 import time
 
 import numpy as np
@@ -53,21 +54,28 @@ _LOG = get_logger("repro.sim")
 #: enough that a streaming consumer's working set stays in cache.
 CHUNK_EVENTS = 1 << 16
 
-#: Static-size ceiling for translation: beyond this the generated
-#: translation unit stops being cheap to compile and the program is not
-#: a corpus kernel or clone anyway.
-MAX_STATIC = 50_000
-
 #: ``ctl`` scratch-array slots shared with the C engine.
 _CTL_PC, _CTL_EXECUTED, _CTL_LIMIT, _CTL_COUNT, _CTL_ERR_OP, \
     _CTL_ERR_ADDR = range(6)
 
-#: Return reasons of the generated ``repro_sim_run``.
+#: Return reasons of ``repro_sim_run``.
 _R_HALT, _R_LIMIT, _R_CHUNK, _R_BADPC, _R_MEMERR = range(5)
 
 #: op id -> opcode name for memory-range error messages.
 _MEM_OP_NAMES = {2: "lw", 3: "sw", 33: "lb", 34: "lbu", 35: "sb",
                  36: "flw", 37: "fsw"}
+
+#: Register slot an integer write to ``r0`` (or to no register) lands
+#: in: a scratch slot past the architected file, never read back.
+_SINK = 32
+
+#: Per-instruction record, laid out exactly like the C ``insn_t``.
+_INSN = np.dtype([("op", "<i4"), ("rd", "<i4"), ("rs1", "<i4"),
+                  ("rs2", "<i4"), ("k", "<u4"), ("target", "<i4")])
+
+#: The text base is baked into the C source; fail loudly at import if
+#: the assembler's layout ever drifts.
+assert TEXT_BASE == 0x1000
 
 _U32P = ctypes.POINTER(ctypes.c_uint32)
 _F64P = ctypes.POINTER(ctypes.c_double)
@@ -76,18 +84,182 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _I8P = ctypes.POINTER(ctypes.c_int8)
 
+_C_SOURCE = r"""
+#include <stdint.h>
+#include <string.h>
+#include <math.h>
+
+/* Exact port of repro.sim.functional._run_interp over the decoded
+ * arrays built by repro/sim/native.py.  Register fields index the
+ * local files: FP operands are rebased to 0..31 and an integer write
+ * to r0 targets the scratch slot 32; k is the pre-masked immediate,
+ * lui value or link address. */
+typedef struct {
+    int32_t op, rd, rs1, rs2;
+    uint32_t k;
+    int32_t target;
+} insn_t;
+
+enum { R_HALT, R_LIMIT, R_CHUNK, R_BADPC, R_MEMERR };
+
+#define TEXT_BASE 0x1000
+
+/* Effective address of a W-byte access, or a range error. */
+#define EA(W) \
+    addr = a = x + c->k; \
+    if (addr + (W) > mem_size) { \
+        ctl[4] = c->op; ctl[5] = addr; reason = R_MEMERR; goto out; }
+
+#define TRACE(A, T) \
+    t_pcs[n] = (int32_t)pc; t_addrs[n] = (A); t_taken[n] = (T); n++;
+
+int64_t repro_sim_run(const insn_t *code, const double *fimm,
+                      int64_t n_instrs, uint32_t *ir, double *fr,
+                      uint8_t *mem, int64_t mem_size, int64_t *ctl,
+                      int32_t *t_pcs, int64_t *t_addrs, int8_t *t_taken,
+                      int64_t cap)
+{
+    uint32_t r[33];
+    double f[32];
+    int64_t pc = ctl[0], executed = ctl[1], check_limit = ctl[2];
+    int64_t n = 0, reason;
+
+    memcpy(r, ir, 32 * sizeof *r);
+    r[32] = 0;
+    memcpy(f, fr, sizeof f);
+    for (;;) {
+        if ((uint64_t)pc >= (uint64_t)n_instrs) { reason = R_BADPC; break; }
+        if (n >= cap) { reason = R_CHUNK; break; }
+        if (++executed > check_limit) { reason = R_LIMIT; break; }
+        const insn_t *c = code + pc;
+        uint32_t x = r[c->rs1], y = r[c->rs2], a;
+        int64_t addr = -1, next = pc + 1;
+        int8_t taken = -1;
+        switch (c->op) {
+        case 0: r[c->rd] = x + c->k; break;                     /* addi */
+        case 1: r[c->rd] = x + y; break;                        /* add */
+        case 2: { EA(4) memcpy(&r[c->rd], mem + a, 4); break; } /* lw */
+        case 3: { EA(4) memcpy(mem + a, &y, 4); break; }        /* sw */
+        case 4: taken = x == y; break;                          /* beq */
+        case 5: taken = x != y; break;                          /* bne */
+        case 6: taken = (int32_t)x < (int32_t)y; break;         /* blt */
+        case 7: taken = (int32_t)x >= (int32_t)y; break;        /* bge */
+        case 8: r[c->rd] = x - y; break;                        /* sub */
+        case 9: r[c->rd] = x & y; break;                        /* and */
+        case 10: r[c->rd] = x | y; break;                       /* or */
+        case 11: r[c->rd] = x ^ y; break;                       /* xor */
+        case 12: r[c->rd] = x << (y & 31); break;               /* sll */
+        case 13: r[c->rd] = x >> (y & 31); break;               /* srl */
+        case 14: r[c->rd] = (uint32_t)((int32_t)x >> (y & 31)); break;
+        case 15: r[c->rd] = (int32_t)x < (int32_t)y; break;     /* slt */
+        case 16: r[c->rd] = x < y; break;                       /* sltu */
+        case 17: r[c->rd] = x & c->k; break;                    /* andi */
+        case 18: r[c->rd] = x | c->k; break;                    /* ori */
+        case 19: r[c->rd] = x ^ c->k; break;                    /* xori */
+        case 20: r[c->rd] = x << (c->k & 31); break;            /* slli */
+        case 21: r[c->rd] = x >> (c->k & 31); break;            /* srli */
+        case 22: r[c->rd] = (uint32_t)((int32_t)x >> (c->k & 31)); break;
+        case 23: r[c->rd] = (int32_t)x < (int32_t)c->k; break;  /* slti */
+        case 24: r[c->rd] = x < c->k; break;                    /* sltiu */
+        case 25: r[c->rd] = c->k; break;                        /* lui */
+        case 26: r[c->rd] = ~(x | y); break;                    /* nor */
+        case 27: r[c->rd] = (uint32_t)((int64_t)(int32_t)x
+                                       * (int32_t)y); break;    /* mul */
+        case 28: r[c->rd] = (uint32_t)(((int64_t)(int32_t)x
+                                        * (int32_t)y) >> 32); break;
+        case 29: { int64_t p = (int32_t)x, q = (int32_t)y;      /* div */
+                   r[c->rd] = (uint32_t)(q ? p / q : 0); break; }
+        case 30: r[c->rd] = y ? x / y : 0; break;               /* divu */
+        case 31: { int64_t p = (int32_t)x, q = (int32_t)y;      /* rem */
+                   r[c->rd] = (uint32_t)(q ? p % q : 0); break; }
+        case 32: r[c->rd] = y ? x % y : 0; break;               /* remu */
+        case 33: { EA(1) r[c->rd] = (uint32_t)(int8_t)mem[a]; break; }
+        case 34: { EA(1) r[c->rd] = mem[a]; break; }            /* lbu */
+        case 35: { EA(1) mem[a] = (uint8_t)y; break; }          /* sb */
+        case 36: { EA(8) memcpy(&f[c->rd], mem + a, 8); break; } /* flw */
+        case 37: { EA(8) memcpy(mem + a, &f[c->rs2], 8); break; } /* fsw */
+        case 38: taken = x < y; break;                          /* bltu */
+        case 39: taken = x >= y; break;                         /* bgeu */
+        case 40: next = c->target; break;                       /* j */
+        case 41: r[c->rd] = c->k; next = c->target; break;      /* jal */
+        case 42: next = ((int64_t)x - TEXT_BASE) >> 2; break;   /* jr */
+        case 43: r[c->rd] = c->k;                               /* jalr */
+                 next = ((int64_t)x - TEXT_BASE) >> 2; break;
+        case 44: f[c->rd] = f[c->rs1] + f[c->rs2]; break;       /* fadd */
+        case 45: f[c->rd] = f[c->rs1] - f[c->rs2]; break;       /* fsub */
+        case 46: f[c->rd] = f[c->rs1] * f[c->rs2]; break;       /* fmul */
+        case 47: { double q = f[c->rs2];                        /* fdiv */
+                   f[c->rd] = q != 0.0 ? f[c->rs1] / q : 0.0; break; }
+        case 48: { double v = f[c->rs1];                        /* fsqrt */
+                   f[c->rd] = v > 0.0 ? sqrt(v) : 0.0; break; }
+        case 49: f[c->rd] = -f[c->rs1]; break;                  /* fneg */
+        case 50: f[c->rd] = fabs(f[c->rs1]); break;             /* fabs */
+        case 51: f[c->rd] = f[c->rs1]; break;                   /* fmv */
+        case 52: { double p = f[c->rs1], q = f[c->rs2];         /* fmin */
+                   f[c->rd] = q < p ? q : p; break; }
+        case 53: { double p = f[c->rs1], q = f[c->rs2];         /* fmax */
+                   f[c->rd] = q > p ? q : p; break; }
+        case 54: r[c->rd] = f[c->rs1] == f[c->rs2]; break;      /* feq */
+        case 55: r[c->rd] = f[c->rs1] < f[c->rs2]; break;       /* flt */
+        case 56: r[c->rd] = f[c->rs1] <= f[c->rs2]; break;      /* fle */
+        case 57: r[c->rd] = (uint32_t)(int64_t)f[c->rs1]; break; /* fcvtws */
+        case 58: f[c->rd] = (double)(int32_t)x; break;          /* fcvtsw */
+        case 59: f[c->rd] = fimm[pc]; break;                    /* fli */
+        default: TRACE(-1, -1) reason = R_HALT; goto out;       /* halt */
+        }
+        TRACE(addr, taken)
+        pc = taken > 0 ? c->target : next;
+    }
+out:
+    ctl[0] = pc; ctl[1] = executed; ctl[3] = n;
+    memcpy(ir, r, 32 * sizeof *r);
+    memcpy(fr, f, sizeof f);
+    return reason;
+}
+"""
+
 
 # ----------------------------------------------------------------------
 # Availability / translatability gates
 # ----------------------------------------------------------------------
 def available():
-    """Whether this host can run native functional execution at all."""
+    """Whether this host can run native functional execution at all.
+
+    Cheap: probes the toolchain but does not build the engine, which
+    compiles lazily on first use.
+    """
     return toolchain.enabled() and toolchain.probe()
 
 
+#: None = not yet loaded this process, False = unavailable, else the
+#: ctypes entry point of the compiled engine.
+_ENGINE = None
+
+
 def reset():
-    """Forget the toolchain probe (tests toggling REPRO_NATIVE / cc)."""
+    """Forget the toolchain probe and the loaded engine (tests toggling
+    REPRO_NATIVE / cc)."""
+    global _ENGINE
+    _ENGINE = None
     toolchain.reset()
+
+
+def _load():
+    """The engine's ctypes entry point, compiling it on first use."""
+    global _ENGINE
+    if _ENGINE is None:
+        _ENGINE = False
+        library = toolchain.load_library(_C_SOURCE, "simfunc")
+        if library is not None:
+            run = library.repro_sim_run
+            run.restype = ctypes.c_int64
+            run.argtypes = [
+                ctypes.c_void_p, _F64P, ctypes.c_int64,
+                _U32P, _F64P, _U8P, ctypes.c_int64, _I64P,
+                _I32P, _I64P, _I8P, ctypes.c_int64,
+            ]
+            _ENGINE = run
+    return _ENGINE or None
 
 
 def _is_int(reg):
@@ -104,16 +276,16 @@ def _int_dest(reg):
 
 
 def _translatable(program):
-    """Whether the translator covers every instruction of ``program``.
+    """Whether the C engine can run every instruction of ``program``.
 
     The interpreter dispatches on the opcode and trusts operand fields
-    to be in the register file the format implies; the C engine bakes
-    the file split (uint32 vs double) into the generated code, so a
-    hand-built program that mixes files is simply not translated.
+    to be in the register file the format implies; the C engine keeps
+    the files apart (uint32 vs double), so a hand-built program that
+    mixes them is simply left to the other backends.
     """
     instructions = program.instructions
     n = len(instructions)
-    if n == 0 or n > MAX_STATIC:
+    if n == 0:
         return False
     for instr in instructions:
         op_id = _OP_IDS.get(instr.opcode)
@@ -187,340 +359,71 @@ def translatable(program):
 
 def usable(program):
     """Cheap resolution gate: gated on, toolchain probed, program
-    translatable.  No program compile is attempted here — that happens
+    translatable.  The engine itself is not built here — that happens
     lazily on first run (and a failed compile falls back to turbo)."""
     return available() and translatable(program)
 
 
 # ----------------------------------------------------------------------
-# Code generation
+# Decoded program arrays
 # ----------------------------------------------------------------------
-def _double_literal(value):
-    value = float(value)
-    if math.isnan(value):
-        return "NAN"
-    if math.isinf(value):
-        return "-INFINITY" if value < 0 else "INFINITY"
-    return value.hex()
+def _register(reg, sink=_SINK):
+    """Engine register slot: FP rebased, ``r0``/none to ``sink``."""
+    if not reg:
+        return sink
+    return reg - 32 if reg >= 32 else reg
 
 
-def _immu(imm):
-    return f"{imm & 0xFFFFFFFF}u"
-
-
-def _goto(next_pc, n_instrs):
-    if next_pc < n_instrs:
-        return f"goto I{next_pc};"
-    return f"{{ pc = {next_pc}; reason = 3; goto out; }}"
-
-
-#: Unsigned register-register expression templates (C mirrors of the
-#: interpreter arms; uint32 arithmetic wraps exactly like ``& _M32``).
-_R3_EXPRS = {
-    1: "ir[{a}] + ir[{b}]",                     # add
-    8: "ir[{a}] - ir[{b}]",                     # sub
-    9: "ir[{a}] & ir[{b}]",                     # and
-    10: "ir[{a}] | ir[{b}]",                    # or
-    11: "ir[{a}] ^ ir[{b}]",                    # xor
-    12: "ir[{a}] << (ir[{b}] & 31)",            # sll
-    13: "ir[{a}] >> (ir[{b}] & 31)",            # srl
-    14: "(uint32_t)((int64_t)(int32_t)ir[{a}] >> (ir[{b}] & 31))",  # sra
-    15: "((int32_t)ir[{a}] < (int32_t)ir[{b}])",  # slt
-    16: "(ir[{a}] < ir[{b}])",                  # sltu
-    26: "~(ir[{a}] | ir[{b}])",                 # nor
-    27: ("(uint32_t)((int64_t)(int32_t)ir[{a}]"
-         " * (int64_t)(int32_t)ir[{b}])"),      # mul
-    28: ("(uint32_t)(((int64_t)(int32_t)ir[{a}]"
-         " * (int64_t)(int32_t)ir[{b}]) >> 32)"),  # mulh
-}
-
-#: Register-immediate expression templates ({i} is the masked
-#: immediate, {s} the shift amount, {r} the raw int32 immediate).
-_R2I_EXPRS = {
-    0: "ir[{a}] + {i}",                         # addi
-    17: "ir[{a}] & {i}",                        # andi
-    18: "ir[{a}] | {i}",                        # ori
-    19: "ir[{a}] ^ {i}",                        # xori
-    20: "ir[{a}] << {s}",                       # slli
-    21: "ir[{a}] >> {s}",                       # srli
-    22: "(uint32_t)((int64_t)(int32_t)ir[{a}] >> {s})",  # srai
-    23: "((int32_t)ir[{a}] < (int32_t){i})",    # slti
-    24: "(ir[{a}] < {i})",                      # sltiu
-}
-
-#: Conditional-branch condition expressions.
-_BRANCH_EXPRS = {
-    4: "(ir[{a}] == ir[{b}])",                  # beq
-    5: "(ir[{a}] != ir[{b}])",                  # bne
-    6: "((int32_t)ir[{a}] < (int32_t)ir[{b}])",    # blt
-    7: "((int32_t)ir[{a}] >= (int32_t)ir[{b}])",   # bge
-    38: "(ir[{a}] < ir[{b}])",                  # bltu
-    39: "(ir[{a}] >= ir[{b}])",                 # bgeu
-}
-
-#: FP expression templates over ``fr`` (indices already rebased).
-_FP_EXPRS = {
-    44: "fr[{a}] + fr[{b}]",                    # fadd
-    45: "fr[{a}] - fr[{b}]",                    # fsub
-    46: "fr[{a}] * fr[{b}]",                    # fmul
-    49: "-fr[{a}]",                             # fneg
-    50: "fabs(fr[{a}])",                        # fabs
-    51: "fr[{a}]",                              # fmv
-}
-
-#: FP comparisons writing a guarded integer destination.
-_FCMP_EXPRS = {
-    54: "(fr[{a}] == fr[{b}])",                 # feq
-    55: "(fr[{a}] < fr[{b}])",                  # flt
-    56: "(fr[{a}] <= fr[{b}])",                 # fle
-}
-
-
-def _emit_instruction(pc, decoded, n_instrs, lines):
-    """Emit the labelled C statement(s) for one static instruction."""
-    op_id, rd, rs1, rs2, imm, target = decoded
-    wr = rd is not None and rd != 0  # guarded integer destination live?
-    emit = lines.append
-    emit(f"I{pc}:")
-    emit(f"    STEP({pc})")
-    plain = f"    TR({pc}, -1, -1)"
-    fall = f"    {_goto(pc + 1, n_instrs)}"
-
-    if op_id in _R3_EXPRS:
-        if wr:
-            expr = _R3_EXPRS[op_id].format(a=rs1, b=rs2)
-            emit(f"    ir[{rd}] = {expr};")
-        emit(plain)
-        emit(fall)
-    elif op_id in _R2I_EXPRS:
-        if wr:
-            expr = _R2I_EXPRS[op_id].format(
-                a=rs1, i=_immu(imm), s=imm & 31)
-            emit(f"    ir[{rd}] = {expr};")
-        emit(plain)
-        emit(fall)
-    elif op_id == 25:  # lui
-        if wr:
-            emit(f"    ir[{rd}] = {_immu(imm << 16)};")
-        emit(plain)
-        emit(fall)
-    elif op_id in (29, 31):  # div / rem (int64 avoids INT_MIN/-1 UB)
-        if wr:
-            c_op = "/" if op_id == 29 else "%"
-            emit(f"    {{ int64_t a = (int32_t)ir[{rs1}], "
-                 f"b = (int32_t)ir[{rs2}];")
-            emit(f"      ir[{rd}] = (uint32_t)(b ? a {c_op} b : 0); }}")
-        emit(plain)
-        emit(fall)
-    elif op_id in (30, 32):  # divu / remu
-        if wr:
-            c_op = "/" if op_id == 30 else "%"
-            emit(f"    {{ uint32_t b = ir[{rs2}];")
-            emit(f"      ir[{rd}] = b ? ir[{rs1}] {c_op} b : 0u; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id in _BRANCH_EXPRS:
-        cond = _BRANCH_EXPRS[op_id].format(a=rs1, b=rs2)
-        emit(f"    {{ int8_t t = {cond};")
-        emit(f"      TR({pc}, -1, t)")
-        emit(f"      if (t) goto I{target}; }}")
-        emit(fall)
-    elif op_id in (2, 33, 34):  # lw / lb / lbu
-        bound = ("(int64_t)a + 4 > mem_size" if op_id == 2
-                 else "(int64_t)a >= mem_size")
-        emit(f"    {{ uint32_t a = ir[{rs1}] + {_immu(imm)};")
-        emit(f"      if ({bound}) MEMERR({pc}, {op_id}, a)")
-        if wr:
-            if op_id == 2:
-                emit("      { uint32_t v; memcpy(&v, mem + a, 4); "
-                     f"ir[{rd}] = v; }}")
-            elif op_id == 33:
-                emit(f"      ir[{rd}] = "
-                     "(uint32_t)(int32_t)(int8_t)mem[a];")
-            else:
-                emit(f"      ir[{rd}] = mem[a];")
-        emit(f"      TR({pc}, (int64_t)a, -1) }}")
-        emit(fall)
-    elif op_id in (3, 35):  # sw / sb
-        bound = ("(int64_t)a + 4 > mem_size" if op_id == 3
-                 else "(int64_t)a >= mem_size")
-        emit(f"    {{ uint32_t a = ir[{rs1}] + {_immu(imm)};")
-        emit(f"      if ({bound}) MEMERR({pc}, {op_id}, a)")
-        if op_id == 3:
-            emit(f"      {{ uint32_t v = ir[{rs2}]; "
-                 "memcpy(mem + a, &v, 4); }")
-        else:
-            emit(f"      mem[a] = (uint8_t)ir[{rs2}];")
-        emit(f"      TR({pc}, (int64_t)a, -1) }}")
-        emit(fall)
-    elif op_id == 36:  # flw
-        emit(f"    {{ uint32_t a = ir[{rs1}] + {_immu(imm)};")
-        emit(f"      if ((int64_t)a + 8 > mem_size) MEMERR({pc}, 36, a)")
-        emit("      { double v; memcpy(&v, mem + a, 8); "
-             f"fr[{rd - 32}] = v; }}")
-        emit(f"      TR({pc}, (int64_t)a, -1) }}")
-        emit(fall)
-    elif op_id == 37:  # fsw
-        emit(f"    {{ uint32_t a = ir[{rs1}] + {_immu(imm)};")
-        emit(f"      if ((int64_t)a + 8 > mem_size) MEMERR({pc}, 37, a)")
-        emit(f"      {{ double v = fr[{rs2 - 32}]; "
-             "memcpy(mem + a, &v, 8); }")
-        emit(f"      TR({pc}, (int64_t)a, -1) }}")
-        emit(fall)
-    elif op_id == 40:  # j
-        emit(plain)
-        emit(f"    goto I{target};")
-    elif op_id == 41:  # jal
-        if wr:
-            emit(f"    ir[{rd}] = {_immu(TEXT_BASE + 4 * (pc + 1))};")
-        emit(plain)
-        emit(f"    goto I{target};")
-    elif op_id in (42, 43):  # jr / jalr (rs1 read precedes link write)
-        emit(f"    {{ int64_t ret = (int64_t)ir[{rs1}];")
-        if op_id == 43 and wr:
-            emit(f"      ir[{rd}] = {_immu(TEXT_BASE + 4 * (pc + 1))};")
-        emit(f"      TR({pc}, -1, -1)")
-        emit(f"      pc = (ret - {TEXT_BASE}) >> 2; goto dispatch; }}")
-    elif op_id in _FP_EXPRS:
-        expr = _FP_EXPRS[op_id].format(
-            a=rs1 - 32, b=(rs2 - 32) if rs2 is not None else None)
-        emit(f"    fr[{rd - 32}] = {expr};")
-        emit(plain)
-        emit(fall)
-    elif op_id == 47:  # fdiv
-        emit(f"    {{ double b = fr[{rs2 - 32}];")
-        emit(f"      fr[{rd - 32}] = (b != 0.0) "
-             f"? fr[{rs1 - 32}] / b : 0.0; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id == 48:  # fsqrt
-        emit(f"    {{ double v = fr[{rs1 - 32}];")
-        emit(f"      fr[{rd - 32}] = (v > 0.0) ? sqrt(v) : 0.0; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id == 52:  # fmin (Python min: b if b < a else a)
-        emit(f"    {{ double a = fr[{rs1 - 32}], b = fr[{rs2 - 32}];")
-        emit(f"      fr[{rd - 32}] = (b < a) ? b : a; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id == 53:  # fmax
-        emit(f"    {{ double a = fr[{rs1 - 32}], b = fr[{rs2 - 32}];")
-        emit(f"      fr[{rd - 32}] = (b > a) ? b : a; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id in _FCMP_EXPRS:
-        if wr:
-            expr = _FCMP_EXPRS[op_id].format(a=rs1 - 32, b=rs2 - 32)
-            emit(f"    ir[{rd}] = {expr};")
-        emit(plain)
-        emit(fall)
-    elif op_id == 57:  # fcvtws (truncate toward zero, like int())
-        if wr:
-            emit(f"    ir[{rd}] = (uint32_t)(int64_t)fr[{rs1 - 32}];")
-        emit(plain)
-        emit(fall)
-    elif op_id == 58:  # fcvtsw
-        emit(f"    fr[{rd - 32}] = (double)(int32_t)ir[{rs1}];")
-        emit(plain)
-        emit(fall)
-    elif op_id == 59:  # fli
-        emit(f"    fr[{rd - 32}] = {_double_literal(imm)};")
-        emit(plain)
-        emit(fall)
-    elif op_id == 60:  # halt
-        emit(plain)
-        emit(f"    pc = {pc}; reason = 0; goto out;")
-    else:  # unreachable behind _translatable
-        raise SimulationError(f"bad op id {op_id}")
-
-
-def generate_source(program):
-    """The full C translation unit for ``program``."""
+def _decode(program):
+    """``(insns, fimm)``: the per-program arrays the engine reads."""
     columns = columns_for(program)
     decoded = columns.derived.get("functional_decode")
     if decoded is None:
         from repro.sim.functional import FunctionalSimulator
         FunctionalSimulator(program)  # populates the decode cache
         decoded = columns.derived["functional_decode"]
-    n_instrs = len(decoded)
-    lines = [
-        "/* Generated functional-execution engine: exact port of",
-        " * repro.sim.functional._run_interp for one program's decoded",
-        " * instructions (see repro/sim/native.py). */",
-        "#include <stdint.h>",
-        "#include <string.h>",
-        "#include <math.h>",
-        "",
-        "#define STEP(PC) \\",
-        "    if (n >= cap) { pc = PC; reason = 2; goto out; } \\",
-        "    executed++; \\",
-        "    if (executed > check_limit) "
-        "{ pc = PC; reason = 1; goto out; }",
-        "",
-        "#define TR(PC, A, T) \\",
-        "    t_pcs[n] = PC; t_addrs[n] = (A); t_taken[n] = (T); n++;",
-        "",
-        "#define MEMERR(PC, OP, A) \\",
-        "    { pc = PC; ctl[4] = OP; ctl[5] = (int64_t)(A); \\",
-        "      reason = 4; goto out; }",
-        "",
-        "int64_t repro_sim_run(uint32_t *ir, double *fr, uint8_t *mem,",
-        "                      int64_t mem_size, int64_t *ctl,",
-        "                      int32_t *t_pcs, int64_t *t_addrs,",
-        "                      int8_t *t_taken, int64_t cap)",
-        "{",
-        "    int64_t pc = ctl[0];",
-        "    int64_t executed = ctl[1];",
-        "    int64_t check_limit = ctl[2];",
-        "    int64_t n = 0;",
-        "    int64_t reason;",
-        "",
-        "dispatch:",
-        "    switch (pc) {",
-    ]
-    for pc in range(n_instrs):
-        lines.append(f"    case {pc}: goto I{pc};")
-    lines.append("    default: reason = 3; goto out;")
-    lines.append("    }")
-    lines.append("")
-    for pc, entry in enumerate(decoded):
-        _emit_instruction(pc, entry, n_instrs, lines)
-    lines.extend([
-        "",
-        "out:",
-        "    ctl[0] = pc; ctl[1] = executed; ctl[3] = n;",
-        "    return reason;",
-        "}",
-    ])
-    return "\n".join(lines) + "\n"
+    insns = np.zeros(len(decoded), dtype=_INSN)
+    fimm = np.zeros(len(decoded), dtype=np.float64)
+    for pc, (op_id, rd, rs1, rs2, imm, target) in enumerate(decoded):
+        if op_id == 25:  # lui
+            k = imm << 16
+        elif op_id in (41, 43):  # jal / jalr link address
+            k = TEXT_BASE + 4 * (pc + 1)
+        elif op_id == 59:  # fli
+            k = 0
+            fimm[pc] = float(imm)
+        else:
+            k = imm if isinstance(imm, int) else 0
+        insns[pc] = (op_id, _register(rd), _register(rs1, 0),
+                     _register(rs2, 0), k & 0xFFFFFFFF,
+                     target if target is not None else 0)
+    return insns, fimm
 
 
 def engine_for(program):
-    """The compiled ctypes entry point for ``program``, or ``None``.
+    """The native engine bound to ``program``'s arrays, or ``None``.
 
-    Compiles lazily on first use; the loaded library and prepared
-    function are cached on the program's shared columns, the ``.so``
-    itself in the content-addressed toolchain cache (so one compile per
-    program content per machine, ever).
+    The returned callable takes the remaining ``repro_sim_run``
+    arguments (register files, memory, ``ctl``, trace chunk, capacity).
+    The engine compiles once per machine on first use; the decoded
+    arrays and the bound callable are cached on the program's shared
+    columns.
     """
     if not usable(program):
         return None
     columns = columns_for(program)
     cached = columns.derived.get("native_sim")
     if cached is None:
-        cached = False
-        library = toolchain.load_library(generate_source(program),
-                                         "simfunc")
-        if library is not None:
-            run = library.repro_sim_run
-            run.restype = ctypes.c_int64
-            run.argtypes = [
-                _U32P, _F64P, _U8P, ctypes.c_int64, _I64P,
-                _I32P, _I64P, _I8P, ctypes.c_int64,
-            ]
-            cached = (library, run)
+        run = _load()
+        if run is None:
+            return None
+        insns, fimm = _decode(program)
+        cached = functools.partial(
+            run, insns.ctypes.data_as(ctypes.c_void_p),
+            fimm.ctypes.data_as(_F64P), len(insns))
+        cached.arrays = (insns, fimm)  # the engine reads them by pointer
         columns.derived["native_sim"] = cached
-    return cached[1] if cached else None
+    return cached
 
 
 # ----------------------------------------------------------------------

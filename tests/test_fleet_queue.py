@@ -43,6 +43,25 @@ class TestClaim:
         queue.complete("cell-a", {"metrics": {}}, worker="w0")
         assert queue.claim("cell-a", "w1") is False
 
+    def test_claim_refused_when_sibling_publishes_mid_claim(
+            self, queue, monkeypatch):
+        # Make the check-then-lease gap deterministic: a sibling claims,
+        # publishes and releases right after our first has_result check.
+        sibling = FleetQueue(queue.run_dir)
+        first_check = queue.has_result
+
+        def racing_has_result(cell_id):
+            done = first_check(cell_id)
+            monkeypatch.setattr(queue, "has_result", first_check)
+            assert sibling.claim(cell_id, "w1")
+            sibling.complete(cell_id, {"metrics": {}}, worker="w1")
+            return done
+
+        monkeypatch.setattr(queue, "has_result", racing_has_result)
+        assert queue.claim("cell-a", "w0") is False
+        assert not os.path.exists(queue.lease_path("cell-a"))
+        assert queue.read_result("cell-a") == {"metrics": {}}
+
     def test_release_reopens_cell(self, queue):
         queue.claim("cell-a", "w0")
         queue.release("cell-a")
