@@ -4,8 +4,10 @@ persistent artifact store, and the parallel grid runner.
 Three wall-time comparisons, each paired with an equality assertion so
 the recorded speedups are guaranteed to be numerics-preserving:
 
-* per-config ``simulate_cache`` loop vs one ``simulate_cache_sweep``
-  call over the 28-configuration grid (identical miss counts);
+* per-config ``simulate_cache`` loop (the pure-Python reference) vs
+  one ``simulate_cache_sweep`` call over the 28-configuration grid,
+  which runs each geometry through the native LRU kernel when a C
+  compiler is available (identical miss counts);
 * cold pipeline builds vs warm artifact-store hits (identical profiles,
   clone assembly, and traces — and the warm path must be faster, since
   a hit skips both functional simulations);

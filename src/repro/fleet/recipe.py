@@ -66,9 +66,11 @@ def _coerce_cache(field_name, value):
         raise RecipeError(
             f"{field_name} must be [size, assoc, line], got {value!r}"
         ) from None
-    if assoc != "full":
-        assoc = int(assoc)
-    return CacheConfig(int(size), assoc, int(line))
+    try:
+        return CacheConfig(int(size), assoc if assoc == "full"
+                           else int(assoc), int(line))
+    except ValueError as exc:
+        raise RecipeError(f"{field_name}: {exc}") from None
 
 
 def _coerce_field(name, value):
@@ -86,7 +88,10 @@ def _coerce_field(name, value):
 def _config_from(base, overrides, name):
     changes = {field: _coerce_field(field, value)
                for field, value in overrides.items() if field != "name"}
-    return base.renamed(name, **changes)
+    try:
+        return base.renamed(name, **changes)
+    except ValueError as exc:
+        raise RecipeError(f"config {name!r}: {exc}") from None
 
 
 def _axis_label(field, value):

@@ -70,8 +70,11 @@ def init_run(run_dir, recipe):
 
     Re-initializing with a *different* recipe is refused — a run
     directory is bound to one matrix for its whole life, which is what
-    makes resume and the byte-identical export sound.
+    makes resume and the byte-identical export sound.  A recipe whose
+    configs do not validate raises ``RecipeError`` before anything is
+    written.
     """
+    cells = recipe.expand()
     os.makedirs(run_dir, exist_ok=True)
     recipe_path = os.path.join(run_dir, RECIPE_FILENAME)
     if os.path.exists(recipe_path):
@@ -83,7 +86,6 @@ def init_run(run_dir, recipe):
                 f"run {recipe.name!r} ({recipe.digest()}) in it")
     else:
         save_recipe(recipe, recipe_path)
-        cells = recipe.expand()
         with open(os.path.join(run_dir, CELLS_FILENAME), "w") as handle:
             json.dump({"schema": MATRIX_SCHEMA_VERSION,
                        "recipe_digest": recipe.digest(),

@@ -33,7 +33,7 @@ from repro.uarch.sweep import _hierarchy_key, _kernel_knobs, _predictor_key
 
 def _shape_key(config):
     """Compiled-kernel shape key (the sweep's own knob tuple)."""
-    shift = config.l1i.line.bit_length() - 1
+    shift = config.l1i.shift
     return _kernel_knobs(config, shift)
 
 

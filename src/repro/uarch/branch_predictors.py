@@ -162,6 +162,9 @@ _PREDICTORS = {
     "gshare": GShare,
 }
 
+#: The predictor names ``MachineConfig.predictor`` accepts.
+PREDICTOR_KINDS = tuple(_PREDICTORS)
+
 
 def make_predictor(kind, **kwargs):
     """Instantiate a predictor by name (see keys of ``_PREDICTORS``)."""

@@ -1,17 +1,27 @@
-"""Set-associative LRU caches (the paper's Section 5.1 substrate).
+"""Set-associative true-LRU caches (the paper's Section 5.1 substrate).
 
-``Cache`` is a functional hit/miss model with O(1) accesses (per-set
-insertion-ordered dicts give constant-time LRU).  ``simulate_cache``
-replays an address stream against one configuration and is the reference
-implementation; ``simulate_cache_sweep`` replays one stream against many
-configurations at once, converting the stream a single time and using
-vectorized fast paths where the geometry allows.  ``CacheHierarchy``
+``Cache`` is the reference model — per-set insertion-ordered dicts give
+O(1) LRU — and ``simulate_cache`` replays an address stream through it
+one access at a time.  Both stay pure Python: they are the spec.
+
+Every batched replay — ``simulate_cache_sweep`` (one stream, many
+geometries: Figs. 4–5 and the ``sweep``/``compare`` cache tables) and
+``per_access_hits`` (the sweep engine's I/D/L2 outcome banks) — runs on
+one C kernel, :func:`repro.uarch.native.cache_replay`.  Without a C
+compiler, or under ``REPRO_NATIVE=off``, they replay through
+:meth:`Cache.access_block` instead: identical results, far slower — a
+correctness fallback, not a performance tier.  Each replay counts
+toward the ``uarch.cache_replay.native`` or
+``uarch.cache_replay.reference`` registry counter.  ``CacheHierarchy``
 composes L1I/L1D/L2 for the pipeline timing model.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.obs.metrics import REGISTRY
+from repro.uarch import native
 
 
 @dataclass(frozen=True)
@@ -29,6 +39,9 @@ class CacheConfig:
     def __post_init__(self):
         if self.size <= 0 or self.line <= 0 or self.size % self.line:
             raise ValueError(f"bad cache geometry: {self}")
+        if self.line & (self.line - 1):
+            raise ValueError(
+                f"cache line={self.line} is not a power of two: {self}")
         ways = self.ways
         if ways <= 0 or (self.size // self.line) % ways:
             raise ValueError(f"associativity does not divide lines: {self}")
@@ -46,6 +59,11 @@ class CacheConfig:
     @property
     def sets(self):
         return self.lines // self.ways
+
+    @property
+    def shift(self):
+        """log2(line): an address's block index is ``address >> shift``."""
+        return self.line.bit_length() - 1
 
     def label(self):
         size = (f"{self.size // 1024}KB" if self.size % 1024 == 0
@@ -94,17 +112,19 @@ class Cache:
         self.config = config
         self.stats = CacheStats()
         self._sets = [dict() for _ in range(config.sets)]
-        self._line_shift = config.line.bit_length() - 1
+        self._line_shift = config.shift
         self._set_mask = config.sets - 1
         self._set_is_pow2 = config.sets & (config.sets - 1) == 0
         self._ways = config.ways
 
     def access(self, address):
         """Look up one address; returns True on hit.  Misses allocate."""
-        block = address >> self._line_shift
-        index = (block & self._set_mask if self._set_is_pow2
-                 else block % len(self._sets))
-        line_set = self._sets[index]
+        return self.access_block(address >> self._line_shift)
+
+    def access_block(self, block):
+        """Look up one block (line) index; returns True on hit."""
+        line_set = self._sets[block & self._set_mask if self._set_is_pow2
+                              else block % len(self._sets)]
         self.stats.accesses += 1
         if block in line_set:
             del line_set[block]  # refresh recency
@@ -149,111 +169,24 @@ def simulate_cache(addresses, config):
     This is the *reference* single-configuration replay.  ``addresses``
     may be any iterable of ints; a numpy array is converted exactly once
     per call (plain Python ints iterate much faster than numpy scalars)
-    and the input array itself is never mutated.  When sweeping one
-    stream over many configurations, use :func:`simulate_cache_sweep`,
-    which hoists that conversion out of the per-config loop entirely.
+    and the input array itself is never mutated.  To replay one stream
+    against many configurations, use :func:`simulate_cache_sweep`.
     """
     cache = Cache(config)
-    access = cache.access
+    access_block = cache.access_block
+    shift = config.shift
     if hasattr(addresses, "tolist"):
         addresses = addresses.tolist()
     for address in addresses:
-        access(address)
+        access_block(address >> shift)
     return cache.stats
 
 
 # ----------------------------------------------------------------------
-# Batched sweep: one stream, many configurations
+# Batched replays: the C kernel, or the reference when it is unavailable
 # ----------------------------------------------------------------------
-def _final_residency(blocks, set_mask, ways):
-    """Lines resident after an LRU replay (misses − evictions).
-
-    The set index is a pure function of the block index, so the distinct
-    (set, block) pairs are exactly the distinct blocks; a set that ever
-    saw ``k`` distinct blocks ends with ``min(k, ways)`` resident.
-    """
-    unique_blocks = np.unique(blocks)
-    per_set = np.bincount((unique_blocks & set_mask).astype(np.int64))
-    return int(np.minimum(per_set, ways).sum())
-
-
-def _direct_mapped_stats(blocks, sets):
-    """Vectorized direct-mapped replay (power-of-two ``sets``).
-
-    An access hits iff the previous access to the same set touched the
-    same block, so grouping accesses by set (stable sort) and comparing
-    neighbours yields the exact hit count with no Python loop.
-    """
-    n = len(blocks)
-    mask = sets - 1
-    set_index = blocks & mask
-    order = np.argsort(set_index, kind="stable")
-    grouped_blocks = blocks[order]
-    grouped_sets = set_index[order]
-    hits = int(np.count_nonzero(
-        (grouped_sets[1:] == grouped_sets[:-1])
-        & (grouped_blocks[1:] == grouped_blocks[:-1])))
-    misses = n - hits
-    evictions = misses - _final_residency(blocks, mask, 1)
-    return CacheStats(accesses=n, misses=misses, evictions=evictions)
-
-
-def _two_way_stats(blocks, sets):
-    """Vectorized 2-way LRU replay (power-of-two ``sets``).
-
-    Within one set, collapsing consecutive duplicate blocks (all hits)
-    leaves a stream whose two most recent *distinct* blocks are exactly
-    the previous two elements — so an element hits iff it equals the
-    element two back.  That only holds for two ways (a longer window can
-    contain duplicates), which is why wider associativity replays below.
-    """
-    n = len(blocks)
-    mask = sets - 1
-    set_index = blocks & mask
-    order = np.argsort(set_index, kind="stable")
-    grouped_blocks = blocks[order]
-    grouped_sets = set_index[order]
-    duplicate = np.zeros(n, dtype=bool)
-    duplicate[1:] = ((grouped_sets[1:] == grouped_sets[:-1])
-                     & (grouped_blocks[1:] == grouped_blocks[:-1]))
-    deduped_blocks = grouped_blocks[~duplicate]
-    deduped_sets = grouped_sets[~duplicate]
-    lag2_hits = int(np.count_nonzero(
-        (deduped_sets[2:] == deduped_sets[:-2])
-        & (deduped_blocks[2:] == deduped_blocks[:-2])))
-    misses = len(deduped_blocks) - lag2_hits
-    evictions = misses - _final_residency(blocks, mask, 2)
-    return CacheStats(accesses=n, misses=misses, evictions=evictions)
-
-
-def _replay_blocks(blocks, config):
-    """Exact port of the :class:`Cache` LRU loop over block indices.
-
-    ``blocks`` must be a list of plain ints (the caller converts the
-    numpy block array once and shares it across every config that needs
-    this path).
-    """
-    n_sets = config.sets
-    ways = config.ways
-    line_sets = [dict() for _ in range(n_sets)]
-    is_pow2 = (n_sets & (n_sets - 1)) == 0
-    mask = n_sets - 1
-    misses = 0
-    evictions = 0
-    for block in blocks:
-        line_set = (line_sets[block & mask] if is_pow2
-                    else line_sets[block % n_sets])
-        if block in line_set:
-            del line_set[block]  # refresh recency
-            line_set[block] = None
-            continue
-        misses += 1
-        if len(line_set) >= ways:
-            del line_set[next(iter(line_set))]
-            evictions += 1
-        line_set[block] = None
-    return CacheStats(accesses=len(blocks), misses=misses,
-                      evictions=evictions)
+def _count(engine, replays=1):
+    REGISTRY.counter(f"uarch.cache_replay.{engine}").inc(replays)
 
 
 def simulate_cache_sweep(addresses, configs):
@@ -261,121 +194,26 @@ def simulate_cache_sweep(addresses, configs):
 
     Returns a list of :class:`CacheStats`, one per config, in config
     order — each bit-identical to ``simulate_cache(addresses, config)``.
-    The address stream is converted to block indices once per distinct
-    line size; direct-mapped and 2-way power-of-two geometries use fully
-    vectorized numpy paths, everything else shares a single
-    list-converted block stream through the reference LRU replay.
+    The stream is converted to block indices once per distinct line
+    size and each geometry is one native LRU replay.
     """
     configs = list(configs)
-    address_array = np.asarray(addresses, dtype=np.int64)
-    if len(address_array) == 0:
-        return [CacheStats() for _ in configs]
+    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+    if not native.available():
+        _count("reference", len(configs))
+        address_list = addresses.tolist()
+        return [simulate_cache(address_list, config) for config in configs]
     blocks_by_shift = {}
-    block_lists_by_shift = {}
     results = []
     for config in configs:
-        shift = config.line.bit_length() - 1
-        blocks = blocks_by_shift.get(shift)
+        blocks = blocks_by_shift.get(config.shift)
         if blocks is None:
-            blocks = blocks_by_shift[shift] = address_array >> shift
-        sets = config.sets
-        is_pow2 = (sets & (sets - 1)) == 0
-        if is_pow2 and config.ways == 1:
-            results.append(_direct_mapped_stats(blocks, sets))
-        elif is_pow2 and config.ways == 2:
-            results.append(_two_way_stats(blocks, sets))
-        else:
-            block_list = block_lists_by_shift.get(shift)
-            if block_list is None:
-                # A block equal to its predecessor is MRU in its set and
-                # hits under *any* geometry, so the replay only needs the
-                # consecutive-deduplicated stream (converted once).
-                keep = np.ones(len(blocks), dtype=bool)
-                keep[1:] = blocks[1:] != blocks[:-1]
-                block_list = block_lists_by_shift[shift] = \
-                    blocks[keep].tolist()
-            stats = _replay_blocks(block_list, config)
-            stats.accesses = len(address_array)
-            results.append(stats)
+            blocks = blocks_by_shift[config.shift] = addresses >> config.shift
+        misses, evictions = native.cache_replay(blocks, config.sets,
+                                                config.ways)
+        results.append(CacheStats(len(addresses), misses, evictions))
+    _count("native", len(configs))
     return results
-
-
-# ----------------------------------------------------------------------
-# Per-access outcomes: the sweep engine's cache banks
-# ----------------------------------------------------------------------
-def _direct_mapped_hits(blocks, sets):
-    """Per-access hit flags for a direct-mapped power-of-two cache.
-
-    Same grouping argument as :func:`_direct_mapped_stats` — an access
-    hits iff the previous access to its set touched the same block —
-    but the per-set neighbour comparison is scattered back to stream
-    order instead of being reduced to a count.
-    """
-    n = len(blocks)
-    mask = sets - 1
-    set_index = blocks & mask
-    order = np.argsort(set_index, kind="stable")
-    grouped_blocks = blocks[order]
-    grouped_sets = set_index[order]
-    grouped_hits = np.zeros(n, dtype=bool)
-    grouped_hits[1:] = ((grouped_sets[1:] == grouped_sets[:-1])
-                        & (grouped_blocks[1:] == grouped_blocks[:-1]))
-    hits = np.empty(n, dtype=bool)
-    hits[order] = grouped_hits
-    return hits
-
-
-def _two_way_hits(blocks, sets):
-    """Per-access hit flags for a 2-way LRU power-of-two cache.
-
-    As in :func:`_two_way_stats`: consecutive duplicates within a set
-    are MRU hits, and on the deduplicated per-set stream an access hits
-    iff it equals the distinct block two back.  Both flag families are
-    scattered back through the stable sort order.
-    """
-    n = len(blocks)
-    mask = sets - 1
-    set_index = blocks & mask
-    order = np.argsort(set_index, kind="stable")
-    grouped_blocks = blocks[order]
-    grouped_sets = set_index[order]
-    duplicate = np.zeros(n, dtype=bool)
-    duplicate[1:] = ((grouped_sets[1:] == grouped_sets[:-1])
-                     & (grouped_blocks[1:] == grouped_blocks[:-1]))
-    keep = ~duplicate
-    deduped_blocks = grouped_blocks[keep]
-    deduped_sets = grouped_sets[keep]
-    lag2 = np.zeros(len(deduped_blocks), dtype=bool)
-    lag2[2:] = ((deduped_sets[2:] == deduped_sets[:-2])
-                & (deduped_blocks[2:] == deduped_blocks[:-2]))
-    grouped_hits = duplicate
-    grouped_hits[keep] = lag2
-    hits = np.empty(n, dtype=bool)
-    hits[order] = grouped_hits
-    return hits
-
-
-def _replay_block_hits(blocks, config):
-    """Per-access hit flags through the reference dict-LRU replay."""
-    n_sets = config.sets
-    ways = config.ways
-    line_sets = [dict() for _ in range(n_sets)]
-    is_pow2 = (n_sets & (n_sets - 1)) == 0
-    mask = n_sets - 1
-    hits = np.empty(len(blocks), dtype=bool)
-    for position, block in enumerate(blocks.tolist()):
-        line_set = (line_sets[block & mask] if is_pow2
-                    else line_sets[block % n_sets])
-        if block in line_set:
-            del line_set[block]  # refresh recency
-            line_set[block] = None
-            hits[position] = True
-            continue
-        hits[position] = False
-        if len(line_set) >= ways:
-            del line_set[next(iter(line_set))]
-        line_set[block] = None
-    return hits
 
 
 def per_access_hits(blocks, config):
@@ -385,19 +223,17 @@ def per_access_hits(blocks, config):
     configuration's line size, exactly what :class:`Cache` derives
     internally).  Returns a boolean array aligned with the stream whose
     ``False`` count equals ``simulate_cache``'s miss count; the sweep
-    engine turns these flags into per-access latency banks.  Geometry
-    fast paths match :func:`simulate_cache_sweep`.
+    engine turns these flags into per-access latency banks.
     """
-    blocks = np.asarray(blocks, dtype=np.int64)
-    if len(blocks) == 0:
-        return np.zeros(0, dtype=bool)
-    sets = config.sets
-    if sets & (sets - 1) == 0:
-        if config.ways == 1:
-            return _direct_mapped_hits(blocks, sets)
-        if config.ways == 2:
-            return _two_way_hits(blocks, sets)
-    return _replay_block_hits(blocks, config)
+    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+    if not native.available():
+        _count("reference")
+        return np.fromiter(map(Cache(config).access_block, blocks.tolist()),
+                           dtype=bool, count=len(blocks))
+    hits = np.empty(len(blocks), dtype=bool)
+    native.cache_replay(blocks, config.sets, config.ways, hits)
+    _count("native")
+    return hits
 
 
 class CacheHierarchy:

@@ -3,8 +3,21 @@ L1 data-cache sweep (Section 5.1), and the five design changes of
 Section 5.2 / Table 3."""
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
+from repro.uarch.branch_predictors import PREDICTOR_KINDS
 from repro.uarch.cache import CacheConfig
+
+#: Fields that must be >= 1 (structure sizes and functional-unit counts).
+_POSITIVE_FIELDS = ("width", "fetch_queue", "rob_size", "lsq_size",
+                    "n_int_alu", "n_int_mul", "n_fp_alu", "n_fp_mul",
+                    "n_mem_ports")
+
+#: Fields that must be >= 0 (latencies and penalties, in cycles).
+_NON_NEGATIVE_FIELDS = ("l1_latency", "l2_latency", "memory_latency",
+                        "mispredict_penalty", "latency_ialu",
+                        "latency_imul", "latency_idiv", "latency_falu",
+                        "latency_fmul", "latency_fdiv")
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,19 @@ class MachineConfig:
     latency_falu: int = 2
     latency_fmul: int = 4
     latency_fdiv: int = 12
+
+    def __post_init__(self):
+        for name in _POSITIVE_FIELDS + _NON_NEGATIVE_FIELDS:
+            value = getattr(self, name)
+            low = 1 if name in _POSITIVE_FIELDS else 0
+            if isinstance(value, bool) or not isinstance(value, Integral) \
+                    or value < low:
+                raise ValueError(f"MachineConfig {name}={value!r} must be "
+                                 f"an integer >= {low}")
+        if self.predictor not in PREDICTOR_KINDS:
+            raise ValueError(
+                f"MachineConfig predictor={self.predictor!r} is unknown "
+                f"(known: {', '.join(PREDICTOR_KINDS)})")
 
     def renamed(self, name, **changes):
         """A copy with a new name and the given field overrides."""

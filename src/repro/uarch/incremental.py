@@ -122,7 +122,7 @@ def _changed_fields(old, new):
 
 
 def _shift(config):
-    return config.l1i.line.bit_length() - 1
+    return config.l1i.shift
 
 
 def plan_incremental(old_config, new_config):

@@ -1,27 +1,26 @@
-"""Native scheduling loop: the sweep's timing inner loop in C.
+"""The uarch layer's C kernels: the sweep's timing loop and LRU replay.
 
-The per-config cost of a grid study is dominated by executing run()'s
-integer scheduling recurrence ~60k times per config in Python.  Every
-input to that recurrence is already columnar — the digest's event
-streams, the banks' per-access latencies, the program's decode columns
-— so the loop ports directly to a ~100-line C function over int64
-arrays with *no* per-instruction Python anywhere.
+One embedded C source, compiled once per machine through the shared
+:mod:`repro.native` toolchain into the content-addressed ``sweeploop``
+library under the repro cache dir and called through ctypes.  It holds
+two kernels, both plain arrays in and out (no CPython API):
 
-This module embeds that C source (an exact port of
-``sweep._interpreted_range``, reviewed side by side and asserted
-equivalent by the corpus differential suite), compiles it once per
-machine through the shared :mod:`repro.native` toolchain into a
-content-addressed shared library under the repro cache dir, and
-exposes it through ctypes.  No third-party packages, no CPython API:
-plain arrays in, mutated state out, so the same packed state can flow
-between the Python kernels, the interpreted tail, and the native loop
-mid-trace.
+* ``repro_run_range`` — ``run()``'s fetch/dispatch/issue/commit
+  scheduling recurrence over precomputed cache and predictor event
+  streams; an exact port of ``sweep._interpreted_range`` (the packed
+  state is shared, so a trace can switch engines at any position).
+* ``repro_cache_replay`` — true-LRU replay of a block stream against
+  ``sets x ways``: misses, evictions and optionally each access's hit
+  flag.  Every batched cache simulation (``simulate_cache_sweep``,
+  ``per_access_hits``) runs on it; :class:`repro.uarch.cache.Cache` is
+  its spec.
 
-Everything degrades gracefully: no C compiler, a failed compile, or
-``REPRO_NATIVE=off`` simply means :func:`available` is False and the
-sweep keeps using the compiled-Python kernels and steady-state
-fast-forward.  The semantics are identical either way; only the wall
-time differs.
+Both kernels re-check their preconditions and return an error code
+rather than index out of bounds; the wrappers turn that into
+``ValueError``.  No C compiler, a failed compile, or ``REPRO_NATIVE=off``
+makes :func:`available` False (the reason is logged once and kept in
+:func:`fallback_reason`); callers then take their Python paths, with
+identical results.
 """
 
 import ctypes
@@ -30,6 +29,9 @@ import numpy as np
 
 from repro.isa.instructions import IClass
 from repro.native import toolchain
+from repro.obs.logging import get_logger
+
+_LOG = get_logger("repro.uarch.native")
 
 #: The class codes are baked into the C source; fail loudly at import
 #: if the ISA enumeration ever drifts.
@@ -57,10 +59,14 @@ int64_t repro_run_range(
     int64_t n_branch,
     int64_t width, int64_t in_order, int64_t rob_size, int64_t lsq_size,
     int64_t fetch_queue, int64_t mispredict_penalty, int64_t decode_depth,
-    const int64_t *pool_base, const int64_t *pool_sizes,
+    const int64_t *pool_base, const int64_t *pool_sizes, int64_t n_pools,
     int64_t *sc, int64_t *reg_ready, int64_t *rob_ring,
     int64_t *lsq_ring, int64_t *fetchq_ring, int64_t *fus)
 {
+    if (width < 1 || rob_size < 1 || lsq_size < 1 || fetch_queue < 1)
+        return -1;
+    for (int64_t p = 0; p < n_pools; p++)
+        if (pool_sizes[p] < 1) return -1;
     int64_t i = sc[0], fetch_cycle = sc[1], fetch_used = sc[2];
     int64_t fetch_break = sc[3], fetch_stall_until = sc[4];
     int64_t last_issue = sc[5], last_commit = sc[6], mem_index = sc[7];
@@ -215,24 +221,74 @@ int64_t repro_run_range(
     sc[16] = ii; sc[17] = di; sc[18] = bi;
     return 0;
 }
+
+/* True-LRU replay of n blocks against sets x ways, the set index being
+ * Python's block % sets.  Set s keeps its fill[s] resident tags MRU-first
+ * in tags[s*ways ...] (fill must arrive zeroed).  One pass moves each tag
+ * down a slot until the block turns up (a hit) or the set runs out (a
+ * miss: the carried-out LRU tag refills a free way or is evicted), and
+ * the block lands in front.  Returns the miss count, or -1 for a bad
+ * geometry; writes *evictions and, when hits is non-null, each access's
+ * hit flag. */
+int64_t repro_cache_replay(
+    const int64_t *blocks, int64_t n, int64_t sets, int64_t ways,
+    int64_t *tags, int64_t *fill, uint8_t *hits, int64_t *evictions)
+{
+    if (sets < 1 || ways < 1 || n < 0) return -1;
+    int64_t mask = (sets & (sets - 1)) == 0 ? sets - 1 : -1;
+    int64_t misses = 0, evicted = 0;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t block = blocks[k];
+        int64_t s = mask >= 0 ? (block & mask) : block % sets;
+        if (s < 0) s += sets;
+        int64_t *line = tags + s * ways;
+        int64_t used = fill[s], carry = block, way = 0;
+        for (; way < used; way++) {
+            int64_t tag = line[way];
+            line[way] = carry;
+            if (tag == block) break;
+            carry = tag;
+        }
+        if (way == used) {
+            misses++;
+            if (used < ways) {
+                line[used] = carry;
+                fill[s] = used + 1;
+            } else {
+                evicted++;
+            }
+        }
+        if (hits) hits[k] = way < used;
+    }
+    *evictions = evicted;
+    return misses;
+}
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 
-#: None = not yet probed, False = unavailable, else the ctypes function.
-_RUN_RANGE = None
+#: None = not yet probed, False = unavailable, else the ctypes library.
+_LIBRARY = None
+
+#: Why the library is unavailable (None while it is, or before a probe).
+_FALLBACK_REASON = None
 
 
 def _load():
-    """The ctypes entry point, probing/compiling on first use."""
-    global _RUN_RANGE
-    if _RUN_RANGE is not None:
-        return _RUN_RANGE or None
+    """The ctypes library, probing/compiling on first use."""
+    global _LIBRARY, _FALLBACK_REASON
+    if _LIBRARY is not None:
+        return _LIBRARY or None
     library = toolchain.load_library(_C_SOURCE, "sweeploop")
     if library is None:
-        _RUN_RANGE = False
+        _LIBRARY = False
+        _FALLBACK_REASON = (
+            "REPRO_NATIVE is off" if not toolchain.enabled()
+            else "no working C compiler" if not toolchain.probe()
+            else "sweeploop failed to build or load")
+        _LOG.info("uarch.native.fallback", reason=_FALLBACK_REASON)
         return None
     run_range = library.repro_run_range
     run_range.restype = ctypes.c_int64
@@ -247,23 +303,59 @@ def _load():
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64,                                    # config
-        _I64, _I64,                                        # pools
+        _I64, _I64, ctypes.c_int64,                        # pools
         _I64, _I64, _I64, _I64, _I64, _I64,                # state
     ]
-    _RUN_RANGE = run_range
-    return _RUN_RANGE
+    replay = library.repro_cache_replay
+    replay.restype = ctypes.c_int64
+    replay.argtypes = [_I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                       _I64, _I64, _U8, _I64]
+    _LIBRARY = library
+    return library
 
 
 def available():
-    """Whether the native loop can be used (compiles lazily)."""
+    """Whether the native kernels can be used (compiles lazily)."""
     return _load() is not None
+
+
+def fallback_reason():
+    """Why the probed library is unavailable; None if it is (or unprobed)."""
+    return _FALLBACK_REASON
 
 
 def reset():
     """Forget the probe result (tests toggling REPRO_NATIVE)."""
-    global _RUN_RANGE
-    _RUN_RANGE = None
+    global _LIBRARY, _FALLBACK_REASON
+    _LIBRARY = None
+    _FALLBACK_REASON = None
     toolchain.reset()
+
+
+def cache_replay(blocks, sets, ways, hits=None):
+    """True-LRU replay of a block stream through the C kernel.
+
+    Returns ``(misses, evictions)``; when ``hits`` (a bool array as long
+    as ``blocks``) is given, each access's hit flag is written into it.
+    Raises ``ValueError`` for a geometry the kernel rejects.
+    """
+    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+    if hits is not None and (hits.dtype != np.bool_ or hits.shape
+                             != blocks.shape
+                             or not hits.flags.c_contiguous):
+        raise ValueError("hits must be a contiguous bool array shaped "
+                         f"like blocks {blocks.shape}")
+    tags = np.empty(max(sets, 0) * max(ways, 0), dtype=np.int64)
+    fill = np.zeros(max(sets, 0), dtype=np.int64)
+    evictions = ctypes.c_int64(0)
+    misses = _load().repro_cache_replay(
+        _ptr64(blocks), len(blocks), sets, ways, _ptr64(tags),
+        _ptr64(fill), None if hits is None else hits.ctypes.data_as(_U8),
+        ctypes.byref(evictions))
+    if misses < 0:
+        raise ValueError(f"cache replay needs sets >= 1 and ways >= 1, "
+                         f"got sets={sets}, ways={ways}")
+    return misses, evictions.value
 
 
 def _static_columns(columns):
@@ -292,7 +384,7 @@ def run_range(low, high, digest, config, cache_bank, pred_bank, state):
     native loop, and unpacks — so callers can mix native and Python
     execution of the same trace at any boundary.
     """
-    run = _load()
+    run = _load().repro_run_range
     iclass, dest, src1, src2, pool = _static_columns(
         digest.static.columns)
     latencies = np.array(
@@ -313,7 +405,7 @@ def run_range(low, high, digest, config, cache_bank, pred_bank, state):
     fetchq_ring = np.array(state[4], dtype=np.int64)
     fus = np.array(state[5], dtype=np.int64)
 
-    run(low, high, _ptr64(digest.pcs),
+    status = run(low, high, _ptr64(digest.pcs),
         iclass.ctypes.data_as(_I32), dest.ctypes.data_as(_I32),
         src1.ctypes.data_as(_I32), src2.ctypes.data_as(_I32),
         pool.ctypes.data_as(_I32), _ptr64(latencies),
@@ -324,9 +416,16 @@ def run_range(low, high, digest, config, cache_bank, pred_bank, state):
         pred_bank.miss.ctypes.data_as(_U8), len(digest.b_pos),
         config.width, int(config.in_order), config.rob_size,
         config.lsq_size, config.fetch_queue, config.mispredict_penalty,
-        _decode_depth(), _ptr64(base), _ptr64(sizes),
+        _decode_depth(), _ptr64(base), _ptr64(sizes), len(sizes),
         _ptr64(scalars), _ptr64(reg_ready), _ptr64(rob_ring),
         _ptr64(lsq_ring), _ptr64(fetchq_ring), _ptr64(fus))
+    if status < 0:
+        raise ValueError(
+            f"native timing loop rejected config {config.name!r}: needs "
+            f"width, rob_size, lsq_size, fetch_queue >= 1 and non-empty "
+            f"FU pools, got width={config.width}, rob_size="
+            f"{config.rob_size}, lsq_size={config.lsq_size}, fetch_queue="
+            f"{config.fetch_queue}, pools={sizes.tolist()}")
 
     state[0] = tuple(int(value) for value in scalars)
     state[1] = reg_ready.tolist()

@@ -132,6 +132,13 @@ def sweep_stats_snapshot():
     configs = snapshot["configs"]
     snapshot["mean_config_seconds"] = (
         snapshot["config_seconds"] / configs if configs else 0.0)
+    # Which cache-replay engine ran (repro.uarch.cache), beside the
+    # timing loop's native/fallback config counts.
+    for engine in ("native", "reference"):
+        counter = REGISTRY.get(f"uarch.cache_replay.{engine}")
+        snapshot[f"cache_replays_{engine}"] = counter.value if counter else 0
+    if native.fallback_reason():
+        snapshot["native_fallback_reason"] = native.fallback_reason()
     return snapshot
 
 
@@ -444,10 +451,10 @@ def _build_cache_bank(digest, config):
     permutation routes the replayed outcomes back to each L1 stream.
     """
     bank = _CacheBank()
-    shift = bank.shift = config.l1i.line.bit_length() - 1
+    shift = bank.shift = config.l1i.shift
     iacc_pos, iacc_lines = digest.iacc(shift)
     bank.i_hit = per_access_hits(iacc_lines, config.l1i)
-    data_shift = config.l1d.line.bit_length() - 1
+    data_shift = config.l1d.shift
     bank.d_hit = per_access_hits(digest.m_addrs >> data_shift, config.l1d)
 
     i_miss = ~bank.i_hit
@@ -461,7 +468,7 @@ def _build_cache_bank(digest, config):
     n_l2 = len(order)
     bank.has_l2 = config.l2 is not None
     if bank.has_l2 and n_l2:
-        l2_shift = config.l2.line.bit_length() - 1
+        l2_shift = config.l2.shift
         bank.l2_hit = per_access_hits(miss_addresses[order] >> l2_shift,
                                       config.l2)
         miss_latency = np.where(bank.l2_hit, config.l2_latency,

@@ -1,11 +1,14 @@
 """Equivalence tests: ``simulate_cache_sweep`` vs per-config
 ``simulate_cache`` on random and adversarial streams.
 
-The batched sweep must be *bit-identical* to the reference replay for
-every geometry class it dispatches to — vectorized direct-mapped,
-vectorized 2-way, and the shared-stream LRU replay — because every
-experiment's Pearson correlations and rankings are computed from its
-miss counts.
+The batched sweep (one native LRU replay per geometry, or the
+reference ``Cache`` when the kernel is unavailable) must be
+*bit-identical* to the reference replay on every geometry class —
+direct-mapped, set-associative, fully associative, non-power-of-two
+sets and ways, mixed line sizes — because every experiment's Pearson
+correlations and rankings are computed from its miss counts.
+``tests/test_cache_generative.py`` covers both engines on generated
+streams and geometries.
 """
 
 import numpy as np
@@ -33,13 +36,13 @@ def assert_equivalent(addresses, configs):
         assert stats_tuple(stats) == stats_tuple(reference), config
 
 
-# One config per dispatch path, plus awkward geometries.
+# One config per geometry class, plus awkward geometries.
 PATH_CONFIGS = [
-    CacheConfig(256, 1, 32),        # vectorized direct-mapped
-    CacheConfig(1024, 2, 32),       # vectorized 2-way
-    CacheConfig(2048, 4, 32),       # replay (4-way)
-    CacheConfig(512, "full", 32),   # replay (fully associative)
-    CacheConfig(96, 3, 32),         # replay (non-power-of-two ways)
+    CacheConfig(256, 1, 32),        # direct-mapped
+    CacheConfig(1024, 2, 32),       # 2-way
+    CacheConfig(2048, 4, 32),       # 4-way
+    CacheConfig(512, "full", 32),   # fully associative (one set)
+    CacheConfig(96, 3, 32),         # non-power-of-two ways
     CacheConfig(1024, 2, 64),       # second line size in one sweep
     CacheConfig(64, 2, 32),         # single set, 2-way
     CacheConfig(32, 1, 32),         # single line
@@ -71,7 +74,7 @@ class TestEquivalence:
         assert_equivalent(addresses, PATH_CONFIGS)
 
     def test_consecutive_duplicates(self):
-        # Exercises the dedup fast path feeding the replay configs.
+        # Runs of one block: every repeat is an MRU hit.
         addresses = np.repeat(RNG.integers(0, 1 << 14, 1_000), 9)
         assert_equivalent(addresses, PATH_CONFIGS)
 
