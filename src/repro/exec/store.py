@@ -140,7 +140,7 @@ class ArtifactStore:
         Entries declare their own payload files in ``meta["files"]``
         (validated by :meth:`load`), so presence of the meta manifest
         is the existence test — the store holds classic pipeline
-        entries and single-file sweep digest/bank/kernel entries alike.
+        entries and single-file sweep digest/kernel entries alike.
         """
         return os.path.exists(
             os.path.join(self.entry_dir(key), META_FILENAME))

@@ -11,7 +11,7 @@ A run directory is the whole state of one matrix execution::
 
 :func:`run_fleet` expands the recipe, pins every pending cell's trace
 artifacts in the store, reclaims abandoned leases, and fans the shards
-out to worker processes; each worker additionally pins the digest/bank
+out to worker processes; each worker additionally pins the digest
 entries of its live sessions once it holds the trace content needed to
 key them.  Pinning is best-effort — it guards future prunes only, so
 an eviction racing the pin write just costs a re-derivation — but it
@@ -109,7 +109,7 @@ def load_run_recipe(run_dir):
 def _pending_artifact_keys(recipe, cells, queue):
     """Store keys the pending cells will read (trace entries only).
 
-    The derived digest/bank entries are keyed by trace *content*, which
+    The derived digest entries are keyed by trace *content*, which
     the orchestrator does not have; each worker pins those itself via
     :meth:`~repro.fleet.worker.FleetWorker._pin_sessions` as its
     sessions go live.

@@ -51,7 +51,7 @@ from repro.obs.timing import TRACER
 from repro.sim.turbo import resolve_backend
 from repro.uarch.incremental import IncrementalSession
 from repro.uarch.power import shared_power_model
-from repro.uarch.sweep import acquire_trace_digest, bank_store_keys
+from repro.uarch.sweep import acquire_trace_digest, digest_store_key
 from repro.workloads import get_workload
 
 _LOG = get_logger("repro.fleet.worker")
@@ -178,20 +178,18 @@ class FleetWorker:
         return session
 
     def _pin_sessions(self):
-        """Pin the digest/bank store keys the live sessions read and
-        write (the orchestrator can pin only trace entries up front —
-        these keys need the trace content in hand).  Best-effort, like
-        all pinning: it guards future prunes only, and a stale pin from
-        a SIGKILL-ed worker is garbage-collected by its dead pid."""
+        """Pin the digest store keys the live sessions read and write
+        (the orchestrator can pin only trace entries up front — these
+        keys need the trace content in hand).  Best-effort, like all
+        pinning: it guards future prunes only, and a stale pin from a
+        SIGKILL-ed worker is garbage-collected by its dead pid."""
         store = default_store()
         if not store.enabled:
             return
         keys = set()
-        for trace_key, session in self._sessions.items():
-            configs = [cell.config for cell in self.cells
-                       if cell.trace_key == trace_key]
+        for session in self._sessions.values():
             with suppress(Exception):
-                keys.update(bank_store_keys(session.trace, configs))
+                keys.add(digest_store_key(session.trace))
         store.pin(self._pin_owner, sorted(keys))
 
     def _execute(self, cell):

@@ -11,10 +11,11 @@ and one probe event per process no matter how many engines are in
 play.
 
 A cached library is keyed by its source, the compiler flags (:data:`CC`)
-and the compiler's identity (the first line of ``cc --version``,
-captured once per process by :func:`probe` and memoized per compiler
-binary), so one cache dir shared by hosts with different toolchains
-never serves a foreign build.  Every
+and the compiler's identity (the first line of ``cc --version`` plus the
+target triple of ``cc -dumpmachine``, captured once per process by
+:func:`probe` and memoized per compiler binary), so one cache dir shared
+by hosts with different toolchains or targets never serves a foreign
+build.  Every
 build is visible: a ``native.compile`` span plus the ``native.compiles``
 / ``native.compile_hits`` / ``native.compile_seconds`` registry
 counters, so manifests and ``repro report`` show compile time apart
@@ -49,7 +50,7 @@ CC = ("cc", "-O2", "-shared", "-fPIC")
 #: None = not yet probed this process, else bool (cc works).
 _PROBE = None
 
-#: First line of ``cc --version``; None = not yet captured this process.
+#: ``cc --version`` first line and target; None = not yet captured.
 _IDENTITY = None
 
 #: One-line library whose successful compile+dlopen proves the
@@ -68,14 +69,22 @@ def cache_dir():
     return os.path.join(default_cache_dir(), "native")
 
 
-def compiler_identity():
-    """The first line of ``cc --version``, captured once per process.
+def _compiler_line(binary, flag):
+    """First stdout line of ``binary flag``."""
+    done = subprocess.run([binary, flag], check=True, capture_output=True,
+                          text=True, timeout=30)
+    return (done.stdout.splitlines() or [""])[0].strip()
 
-    The line is memoized in the cache dir per compiler binary (resolved
-    path, size, mtime), so a warm process never spawns ``cc`` just to
-    learn it: a child exec'd from a large process reports the parent's
-    resident set as its own peak, which would inflate every caller's
-    peak-RSS accounting.  Raises ``OSError`` /
+
+def compiler_identity():
+    """``cc --version``'s first line and target, captured once per process.
+
+    Reads ``"<version line> [target <triple>]"``, the triple coming from
+    ``cc -dumpmachine``.  It is memoized in the cache dir per compiler
+    binary (resolved path, size, mtime), so a warm process never spawns
+    ``cc`` just to learn it: a child exec'd from a large process reports
+    the parent's resident set as its own peak, which would inflate
+    every caller's peak-RSS accounting.  Raises ``OSError`` /
     ``subprocess.SubprocessError`` when the compiler cannot be run.
     """
     global _IDENTITY
@@ -85,18 +94,17 @@ def compiler_identity():
             raise FileNotFoundError(f"C compiler {CC[0]!r} not found")
         binary = os.path.realpath(binary)
         info = os.stat(binary)
+        # "target" names the memo's format: version line plus triple.
         stamp = hashlib.sha256(
-            f"{binary}\0{info.st_size}\0{info.st_mtime_ns}".encode()
-        ).hexdigest()[:16]
+            f"{binary}\0{info.st_size}\0{info.st_mtime_ns}\0target"
+            .encode()).hexdigest()[:16]
         memo = os.path.join(cache_dir(), f"cc-{stamp}.txt")
         try:
             with open(memo) as handle:
                 _IDENTITY = handle.read()
         except OSError:
-            done = subprocess.run([binary, "--version"], check=True,
-                                  capture_output=True, text=True,
-                                  timeout=30)
-            _IDENTITY = (done.stdout.splitlines() or [""])[0].strip()
+            _IDENTITY = (f"{_compiler_line(binary, '--version')} "
+                         f"[target {_compiler_line(binary, '-dumpmachine')}]")
             with contextlib.suppress(OSError):
                 os.makedirs(cache_dir(), exist_ok=True)
                 fd, staged = tempfile.mkstemp(suffix=".txt",

@@ -81,8 +81,9 @@ class RunManifest:
     lint: dict = None
     #: Multi-config sweep reuse accounting
     #: (:func:`repro.uarch.sweep.sweep_stats_snapshot`): digest/bank
-    #: cache hits, distinct hierarchies/predictors per grid, per-config
-    #: wall time.  None when the run swept nothing.
+    #: reuse, distinct hierarchies/predictors per grid, per-config wall
+    #: time, and which replay engines ran.  None when the run swept
+    #: nothing.
     sweep: dict = None
     #: Sampling self-profiler digest (:mod:`repro.obs.selfprof`):
     #: interval, sample count, and top (span, function) pairs.  None

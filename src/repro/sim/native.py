@@ -59,7 +59,7 @@ _CTL_PC, _CTL_EXECUTED, _CTL_LIMIT, _CTL_COUNT, _CTL_ERR_OP, \
     _CTL_ERR_ADDR = range(6)
 
 #: Return reasons of ``repro_sim_run``.
-_R_HALT, _R_LIMIT, _R_CHUNK, _R_BADPC, _R_MEMERR = range(5)
+_R_HALT, _R_LIMIT, _R_CHUNK, _R_BADPC, _R_MEMERR, _R_BADARG = range(6)
 
 #: op id -> opcode name for memory-range error messages.
 _MEM_OP_NAMES = {2: "lw", 3: "sw", 33: "lb", 34: "lbu", 35: "sb",
@@ -100,7 +100,7 @@ typedef struct {
     int32_t target;
 } insn_t;
 
-enum { R_HALT, R_LIMIT, R_CHUNK, R_BADPC, R_MEMERR };
+enum { R_HALT, R_LIMIT, R_CHUNK, R_BADPC, R_MEMERR, R_BADARG };
 
 #define TEXT_BASE 0x1000
 
@@ -124,6 +124,11 @@ int64_t repro_sim_run(const insn_t *code, const double *fimm,
     int64_t pc = ctl[0], executed = ctl[1], check_limit = ctl[2];
     int64_t n = 0, reason;
 
+    /* A zero-capacity chunk would return R_CHUNK forever. */
+    if (cap < 1 || n_instrs < 0 || mem_size < 0) {
+        ctl[3] = 0;
+        return R_BADARG;
+    }
     memcpy(r, ir, 32 * sizeof *r);
     r[32] = 0;
     memcpy(f, fr, sizeof f);
@@ -510,6 +515,12 @@ def _drive(simulator, max_instructions, sink, chunk_events=CHUNK_EVENTS):
             op = _MEM_OP_NAMES[int(ctl[_CTL_ERR_OP])]
             addr = int(ctl[_CTL_ERR_ADDR])
             raise SimulationError(f"{op} out of range: {addr:#x}")
+        if reason == _R_BADARG:
+            raise ValueError(
+                f"native engine needs chunk_events >= 1, a non-negative "
+                f"program length and memory size, got chunk_events="
+                f"{chunk_events}, instructions={len(run.arrays[0])}, "
+                f"mem_size={memory.size}")
         break  # _R_HALT
     sync_regs()
     simulator._finish_run(executed, wall_start, "native")

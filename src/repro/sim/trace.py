@@ -60,7 +60,7 @@ class TraceRef:
 
     Stands in for a :class:`DynamicTrace` wherever only the program,
     the length, the ``pcs`` column, and the content digest are needed —
-    which is everything the sweep's digest/bank store keys and the
+    which is everything the sweep's digest store key and the
     :class:`~repro.uarch.sweep.TraceDigest` machinery consume.  Built
     by the streaming acquisition path, which compresses the ``addrs``
     and ``taken`` columns into their digest subsets as chunks arrive

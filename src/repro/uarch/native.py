@@ -1,9 +1,9 @@
-"""The uarch layer's C kernels: the sweep's timing loop and LRU replay.
+"""The uarch layer's C kernels: timing loop, LRU and predictor replay.
 
 One embedded C source, compiled once per machine through the shared
 :mod:`repro.native` toolchain into the content-addressed ``sweeploop``
 library under the repro cache dir and called through ctypes.  It holds
-two kernels, both plain arrays in and out (no CPython API):
+three kernels, all plain arrays in and out (no CPython API):
 
 * ``repro_run_range`` — ``run()``'s fetch/dispatch/issue/commit
   scheduling recurrence over precomputed cache and predictor event
@@ -14,8 +14,13 @@ two kernels, both plain arrays in and out (no CPython API):
   flag.  Every batched cache simulation (``simulate_cache_sweep``,
   ``per_access_hits``) runs on it; :class:`repro.uarch.cache.Cache` is
   its spec.
+* ``repro_counter_replay`` — 2-bit saturating counters (all starting
+  weakly not-taken) replayed over a PHT index stream: each branch's
+  mispredict flag.  Every predictor outcome bank with a counter table
+  (gap, gshare, bimodal) runs on it; the ``make_predictor`` classes in
+  :mod:`repro.uarch.branch_predictors` are its spec.
 
-Both kernels re-check their preconditions and return an error code
+All kernels re-check their preconditions and return an error code
 rather than index out of bounds; the wrappers turn that into
 ``ValueError``.  No C compiler, a failed compile, or ``REPRO_NATIVE=off``
 makes :func:`available` False (the reason is logged once and kept in
@@ -263,6 +268,35 @@ int64_t repro_cache_replay(
     *evictions = evicted;
     return misses;
 }
+
+/* 2-bit saturating-counter replay: branch k reads and trains counter
+ * indices[k] of an entries-long table whose counters all start at 1
+ * (weakly not-taken); a counter >= 2 predicts taken.  Writes each
+ * branch's mispredict flag and returns the mispredict count, or -1 for
+ * n < 0, entries < 1 or an index outside the table.  counters is an
+ * entries-byte work buffer. */
+int64_t repro_counter_replay(
+    const int64_t *indices, const uint8_t *taken, int64_t n,
+    int64_t entries, uint8_t *counters, uint8_t *miss)
+{
+    if (n < 0 || entries < 1) return -1;
+    for (int64_t e = 0; e < entries; e++) counters[e] = 1;
+    int64_t misses = 0;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t index = indices[k];
+        if (index < 0 || index >= entries) return -1;
+        uint8_t counter = counters[index], outcome = taken[k] != 0;
+        uint8_t wrong = (counter >= 2) != outcome;
+        miss[k] = wrong;
+        misses += wrong;
+        if (outcome) {
+            if (counter < 3) counters[index] = counter + 1;
+        } else if (counter > 0) {
+            counters[index] = counter - 1;
+        }
+    }
+    return misses;
+}
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
@@ -310,6 +344,10 @@ def _load():
     replay.restype = ctypes.c_int64
     replay.argtypes = [_I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                        _I64, _I64, _U8, _I64]
+    counters = library.repro_counter_replay
+    counters.restype = ctypes.c_int64
+    counters.argtypes = [_I64, _U8, ctypes.c_int64, ctypes.c_int64, _U8,
+                         _U8]
     _LIBRARY = library
     return library
 
@@ -356,6 +394,31 @@ def cache_replay(blocks, sets, ways, hits=None):
         raise ValueError(f"cache replay needs sets >= 1 and ways >= 1, "
                          f"got sets={sets}, ways={ways}")
     return misses, evictions.value
+
+
+def counter_replay(indices, taken, entries):
+    """2-bit counter replay of a PHT index stream through the C kernel.
+
+    ``indices`` and ``taken`` are parallel arrays; every counter of the
+    ``entries``-long table starts at 1.  Returns each branch's
+    mispredict flag as a bool array.  Raises ``ValueError`` for an
+    empty table or an index outside it.
+    """
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    taken = np.ascontiguousarray(taken, dtype=bool)
+    if indices.ndim != 1 or taken.shape != indices.shape:
+        raise ValueError(f"indices {indices.shape} and taken "
+                         f"{taken.shape} must be one-dimensional and "
+                         f"equally long")
+    miss = np.empty(len(indices), dtype=bool)
+    counters = np.empty(max(entries, 0), dtype=np.uint8)
+    misses = _load().repro_counter_replay(
+        _ptr64(indices), taken.ctypes.data_as(_U8), len(indices), entries,
+        counters.ctypes.data_as(_U8), miss.ctypes.data_as(_U8))
+    if misses < 0:
+        raise ValueError(f"counter replay needs entries >= 1 and every "
+                         f"index in [0, entries), got entries={entries}")
+    return miss
 
 
 def _static_columns(columns):

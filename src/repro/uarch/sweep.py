@@ -18,6 +18,9 @@ while digesting the trace only once:
 * **Predictor outcome banks** — per-branch mispredict flags per
   distinct predictor, from
   :func:`repro.uarch.branch_predictors.predictor_outcome_bank`.
+  Both kinds of bank are derived state: built in memory on the native
+  replay kernels (cheaper than a store round trip) and cached on the
+  digest for the life of the process, never persisted.
 * **Compiled scheduling kernels** — the remaining per-config work (the
   fetch/dispatch/issue/commit scheduling loop) is compiled once per
   (program, scheduling-knob) pair into a specialized function with one
@@ -63,7 +66,7 @@ from repro.uarch.pipeline import DECODE_DEPTH, PipelineResult
 
 _LOG = get_logger("repro.uarch.sweep")
 
-#: Bump when digest/bank array layout or semantics change; combined
+#: Bump when digest/kernel layout or semantics change; combined
 #: with the store's ARTIFACT_SCHEMA_VERSION in every persisted key.
 BANK_SCHEMA_VERSION = 1
 
@@ -93,10 +96,8 @@ _INT_STATS = (
     "grids", "configs", "instructions",
     "digests_built", "digests_reused", "digests_loaded", "digests_saved",
     "digests_streamed",
-    "cache_banks_built", "cache_banks_reused", "cache_banks_loaded",
-    "cache_banks_saved",
-    "pred_banks_built", "pred_banks_reused", "pred_banks_loaded",
-    "pred_banks_saved",
+    "cache_banks_built", "cache_banks_reused",
+    "pred_banks_built", "pred_banks_reused",
     "kernels_compiled", "kernels_reused", "kernels_loaded",
     "kernels_saved", "fallback_configs", "native_configs",
     "distinct_hierarchies", "distinct_predictors",
@@ -132,11 +133,14 @@ def sweep_stats_snapshot():
     configs = snapshot["configs"]
     snapshot["mean_config_seconds"] = (
         snapshot["config_seconds"] / configs if configs else 0.0)
-    # Which cache-replay engine ran (repro.uarch.cache), beside the
-    # timing loop's native/fallback config counts.
-    for engine in ("native", "reference"):
-        counter = REGISTRY.get(f"uarch.cache_replay.{engine}")
-        snapshot[f"cache_replays_{engine}"] = counter.value if counter else 0
+    # Which cache- and predictor-replay engines ran (repro.uarch.cache,
+    # repro.uarch.branch_predictors), beside the timing loop's
+    # native/fallback config counts.
+    for layer in ("cache", "predictor"):
+        for engine in ("native", "reference"):
+            counter = REGISTRY.get(f"uarch.{layer}_replay.{engine}")
+            snapshot[f"{layer}_replays_{engine}"] = (
+                counter.value if counter else 0)
     if native.fallback_reason():
         snapshot["native_fallback_reason"] = native.fallback_reason()
     return snapshot
@@ -428,19 +432,6 @@ def _predictor_key(config):
             tuple(sorted(config.predictor_kwargs.items())))
 
 
-def _finalize_cache_bank(bank):
-    """Derive the loop-facing lists and prefix sums from the arrays."""
-    bank.iacc_extra_list = bank.iacc_extra.tolist()
-    bank.dacc_lat_list = bank.dacc_lat.tolist()
-    bank.i_hit_cum = np.concatenate(
-        ([0], np.cumsum(bank.i_hit, dtype=np.int64)))
-    bank.d_hit_cum = np.concatenate(
-        ([0], np.cumsum(bank.d_hit, dtype=np.int64)))
-    bank.l2_hit_cum = np.concatenate(
-        ([0], np.cumsum(bank.l2_hit, dtype=np.int64)))
-    return bank
-
-
 def _build_cache_bank(digest, config):
     """Replay I/D/L2 once for one hierarchy; all outcomes per access.
 
@@ -486,7 +477,16 @@ def _build_cache_bank(digest, config):
     bank.dacc_lat = np.full(len(bank.d_hit), config.l1_latency,
                             dtype=np.int64)
     bank.dacc_lat[d_miss] = miss_latency[inverse[n_i_miss:]]
-    return _finalize_cache_bank(bank)
+    # The loop-facing lists and the prefix sums behind exact caps.
+    bank.iacc_extra_list = bank.iacc_extra.tolist()
+    bank.dacc_lat_list = bank.dacc_lat.tolist()
+    bank.i_hit_cum = np.concatenate(
+        ([0], np.cumsum(bank.i_hit, dtype=np.int64)))
+    bank.d_hit_cum = np.concatenate(
+        ([0], np.cumsum(bank.d_hit, dtype=np.int64)))
+    bank.l2_hit_cum = np.concatenate(
+        ([0], np.cumsum(bank.l2_hit, dtype=np.int64)))
+    return bank
 
 
 class _PredictorBank:
@@ -507,7 +507,7 @@ def _build_pred_bank(digest, config):
 
 
 # ----------------------------------------------------------------------
-# Artifact-store persistence for digests and banks
+# Artifact-store persistence for digests
 # ----------------------------------------------------------------------
 def _store_key(kind, digest, component=""):
     from repro.exec.store import ARTIFACT_SCHEMA_VERSION
@@ -524,14 +524,14 @@ def _store_key(kind, digest, component=""):
 
 
 def _npz_writer(arrays):
-    # Uncompressed on purpose: bank/digest saves sit on the cold-sweep
+    # Uncompressed on purpose: digest saves sit on the cold-sweep
     # critical path and zlib costs more than the disk it saves here.
     def write(path):
         write_npz(path, arrays, compress=False)
     return write
 
 
-def _load_npz_entry(store, key, filename="bank.npz"):
+def _load_npz_entry(store, key, filename):
     """(meta, materialized arrays) from the store, or None."""
     loaded = store.load(key)
     if loaded is None:
@@ -543,13 +543,13 @@ def _load_npz_entry(store, key, filename="bank.npz"):
         with np.load(os.path.join(entry_dir, filename)) as blob:
             arrays = {name: blob[name] for name in blob.files}
     except (OSError, ValueError, KeyError) as exc:
-        _LOG.warning("sweep.bank_corrupt", key=key, error=str(exc))
+        _LOG.warning("sweep.entry_corrupt", key=key, error=str(exc))
         return None
     return meta, arrays
 
 
 def _resolve_store(trace, store):
-    """The store banks should persist through, or None to skip."""
+    """The store digests and kernels persist through, or None to skip."""
     if store is None:
         if len(trace) < _PERSIST_MIN_INSTRUCTIONS:
             return None
@@ -558,26 +558,20 @@ def _resolve_store(trace, store):
     return store if store.enabled else None
 
 
-def bank_store_keys(trace, configs):
-    """Store keys the sweep reads or writes for ``trace`` under
-    ``configs``: the trace digest entry plus each distinct cache and
-    predictor outcome bank.
+def digest_store_key(trace):
+    """Store key of ``trace``'s persisted digest entry.
 
-    Computable without building any of the artifacts (the trace content
-    digest and program fingerprint are memoized), which is what lets
-    the fleet's pin-while-leased layer shield a live run's warm
-    digest/bank entries from LRU pruning.  Compiled-kernel entries are
-    deliberately excluded: their keys need the emit order, and they are
-    the cheapest artifact to rebuild.
+    Computable without building the digest (the trace content digest
+    and program fingerprint are memoized), which is what lets the
+    fleet's pin-while-leased layer shield a live run's warm digest from
+    LRU pruning.  Outcome banks are never stored, and compiled-kernel
+    entries are deliberately not covered: their keys need the emit
+    order, and they are the cheapest artifact to rebuild.
     """
     probe = TraceDigest.__new__(TraceDigest)
     probe.trace = trace
     probe.static = _static_tables(trace.program)
-    keys = {_store_key("digest", probe)}
-    for config in configs:
-        keys.add(_store_key("cbank", probe, repr(_hierarchy_key(config))))
-        keys.add(_store_key("pbank", probe, repr(_predictor_key(config))))
-    return sorted(keys)
+    return _store_key("digest", probe)
 
 
 def trace_digest(trace, store=None):
@@ -731,74 +725,25 @@ def acquire_trace_digest(program, max_instructions=50_000_000,
     return trace_digest(trace, store)
 
 
-def _cache_bank_for(digest, config, store):
+def _cache_bank_for(digest, config):
     key = _hierarchy_key(config)
     bank = digest.cache_banks.get(key)
     if bank is not None:
         _note("cache_banks_reused")
         return bank
-    if store is not None:
-        restored = _load_npz_entry(
-            store, _store_key("cbank", digest, repr(key)))
-        if restored is not None:
-            meta, arrays = restored
-            bank = _CacheBank()
-            bank.shift = int(meta["shift"])
-            bank.has_l2 = bool(meta["has_l2"])
-            bank.i_hit = arrays["i_hit"].astype(bool)
-            bank.d_hit = arrays["d_hit"].astype(bool)
-            bank.l2_pos = arrays["l2_pos"]
-            bank.l2_hit = arrays["l2_hit"].astype(bool)
-            bank.iacc_extra = arrays["iacc_extra"]
-            bank.dacc_lat = arrays["dacc_lat"]
-            digest.cache_banks[key] = _finalize_cache_bank(bank)
-            _note("cache_banks_loaded")
-            return bank
     bank = digest.cache_banks[key] = _build_cache_bank(digest, config)
     _note("cache_banks_built")
-    if store is not None:
-        arrays = {"i_hit": bank.i_hit, "d_hit": bank.d_hit,
-                  "l2_pos": bank.l2_pos, "l2_hit": bank.l2_hit,
-                  "iacc_extra": bank.iacc_extra,
-                  "dacc_lat": bank.dacc_lat}
-        meta = {"kind": "sweep-cache-bank",
-                "bank_schema": BANK_SCHEMA_VERSION,
-                "component": repr(key), "shift": bank.shift,
-                "has_l2": bank.has_l2, "instructions": digest.n}
-        store.save(key=_store_key("cbank", digest, repr(key)), meta=meta,
-                   files={"bank.npz": _npz_writer(arrays)})
-        _note("cache_banks_saved")
     return bank
 
 
-def _pred_bank_for(digest, config, store):
+def _pred_bank_for(digest, config):
     key = _predictor_key(config)
     bank = digest.pred_banks.get(key)
     if bank is not None:
         _note("pred_banks_reused")
         return bank
-    if store is not None:
-        restored = _load_npz_entry(
-            store, _store_key("pbank", digest, repr(key)))
-        if restored is not None:
-            _, arrays = restored
-            bank = _PredictorBank()
-            bank.miss = arrays["miss"].astype(bool)
-            bank.miss_list = bank.miss.tolist()
-            bank.miss_cum = np.concatenate(
-                ([0], np.cumsum(bank.miss, dtype=np.int64)))
-            digest.pred_banks[key] = bank
-            _note("pred_banks_loaded")
-            return bank
     bank = digest.pred_banks[key] = _build_pred_bank(digest, config)
     _note("pred_banks_built")
-    if store is not None:
-        meta = {"kind": "sweep-predictor-bank",
-                "bank_schema": BANK_SCHEMA_VERSION,
-                "component": repr(key), "instructions": digest.n}
-        store.save(key=_store_key("pbank", digest, repr(key)), meta=meta,
-                   files={"bank.npz": _npz_writer({"miss": bank.miss})})
-        _note("pred_banks_saved")
     return bank
 
 
@@ -822,10 +767,9 @@ def simulate_predictor_sweep(trace, specs, store=None):
     :func:`repro.uarch.branch_predictors.simulate_predictor` would —
     but the per-branch outcome flags come from the sweep engine's
     predictor outcome banks, so they are derived once per (trace,
-    predictor) across the whole process *and* persisted through the
-    artifact store: every later sweep, fleet cell, or experiment that
-    touches the same pair reuses them instead of re-walking the
-    branch stream.
+    predictor) across the whole process: every later sweep or
+    experiment on the same trace object reuses them.  ``store`` is
+    only read, for a persisted trace digest.
     """
     specs = [(spec, {}) if isinstance(spec, str) else (spec[0],
                                                       dict(spec[1]))
@@ -836,7 +780,7 @@ def simulate_predictor_sweep(trace, specs, store=None):
     results = []
     for kind, kwargs in specs:
         spec = _PredictorSpec(kind, kwargs)
-        bank = _pred_bank_for(digest, spec, store)
+        bank = _pred_bank_for(digest, spec)
         predictor = make_predictor(kind, **kwargs)
         predictor.stats.lookups = lookups
         predictor.stats.mispredictions = int(bank.miss_cum[-1])
@@ -1673,7 +1617,7 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
     Returns one :class:`PipelineResult` per config, in config order,
     each field-for-field identical to
     ``PipelineModel(config).run(trace, max_instructions)``.  ``store``
-    overrides the artifact store used for digest/bank persistence
+    overrides the artifact store used for digest and kernel persistence
     (``None`` means the default store for corpus-sized traces).
     """
     configs = list(configs)
@@ -1692,12 +1636,10 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
         for config in configs:
             key = _hierarchy_key(config)
             if key not in hierarchy_banks:
-                hierarchy_banks[key] = _cache_bank_for(digest, config,
-                                                       store)
+                hierarchy_banks[key] = _cache_bank_for(digest, config)
             key = _predictor_key(config)
             if key not in predictor_banks:
-                predictor_banks[key] = _pred_bank_for(digest, config,
-                                                      store)
+                predictor_banks[key] = _pred_bank_for(digest, config)
         if store is not None:
             _persist_digest(digest, store)
         results = []

@@ -37,9 +37,28 @@ class TestLibraryKey:
         monkeypatch.setattr(toolchain, "_IDENTITY", "cc (other) 1.0")
         assert toolchain.compile_cached(SOURCE, "keytest") != default
 
-    def test_identity_is_the_first_version_line(self):
+    def test_target_triple_changes_the_library_path(self, cache,
+                                                    monkeypatch):
+        default = toolchain.compile_cached(SOURCE, "keytest")
+        real_line = toolchain._compiler_line
+
+        def other_target(binary, flag):
+            if flag == "-dumpmachine":
+                return "riscv64-unknown-linux-gnu"
+            return real_line(binary, flag)
+
+        # A second cache dir, so the identity memo is cold there too.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache / "other-host"))
+        monkeypatch.setattr(toolchain, "_IDENTITY", None)
+        monkeypatch.setattr(toolchain, "_compiler_line", other_target)
+        assert "riscv64-unknown-linux-gnu" in toolchain.compiler_identity()
+        other = toolchain.compile_cached(SOURCE, "keytest")
+        assert os.path.basename(other) != os.path.basename(default)
+
+    def test_identity_is_the_version_line_and_target(self):
         identity = toolchain.compiler_identity()
         assert identity and "\n" not in identity
+        assert "[target " in identity
 
     def test_warm_cache_learns_identity_without_running_cc(
             self, cache, monkeypatch):

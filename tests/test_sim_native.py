@@ -12,6 +12,9 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -434,6 +437,26 @@ class TestStreaming:
         np.testing.assert_array_equal(
             np.concatenate([taken for _, _, taken in chunks]),
             reference.taken)
+
+    def test_zero_chunk_raises_instead_of_spinning(self):
+        # In a child process with a timeout: an engine that accepted a
+        # zero-capacity chunk would loop forever without executing.
+        script = textwrap.dedent("""
+            from repro.sim import FunctionalSimulator, native
+            from repro.workloads import build_workload
+            simulator = FunctionalSimulator(build_workload("crc32"),
+                                            backend="native")
+            try:
+                native.stream_trace(simulator, 1_000_000,
+                                    lambda *chunk: None, chunk_events=0)
+            except ValueError as exc:
+                assert "chunk_events" in str(exc), exc
+                print("rejected")
+        """)
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "rejected"
 
     def test_streamed_digest_matches_materialized(self):
         program = build_workload("qsort")

@@ -10,10 +10,11 @@ the whole contract:
 * identical results with and without telemetry, under a cap that lands
   mid basic-block, and with no cap at all;
 * the interpreted fallback for traces that violate block structure;
-* digest/bank/kernel persistence round-trips through the artifact
-  store, including corrupt-entry tolerance;
+* digest/kernel persistence round-trips through the artifact store,
+  including corrupt-entry tolerance, while outcome banks are rebuilt
+  in memory and never stored;
 * serial vs ``--jobs`` grid studies produce identical JSON;
-* the vectorized predictor outcome banks match the scalar predictor
+* the predictor outcome banks match the scalar predictor
   specification kind by kind.
 
 It doubles as the tier-1 CI gate for sweep-engine regressions.
@@ -207,7 +208,7 @@ class TestFallback:
 
 
 # ----------------------------------------------------------------------
-# Digest/bank/kernel persistence
+# Digest/kernel persistence (outcome banks are never stored)
 # ----------------------------------------------------------------------
 class TestPersistence:
     def _forget(self, trace):
@@ -226,8 +227,6 @@ class TestPersistence:
                                        max_instructions=CAP, store=store)
         stats = sweep_stats_snapshot()
         assert stats["digests_saved"] == 1
-        assert stats["cache_banks_saved"] >= 1
-        assert stats["pred_banks_saved"] >= 1
         assert stats["kernels_saved"] >= 1
 
         self._forget(loop_nest_trace)
@@ -237,28 +236,45 @@ class TestPersistence:
         stats = sweep_stats_snapshot()
         assert stats["digests_loaded"] == 1
         assert stats["digests_built"] == 0
-        assert stats["cache_banks_loaded"] >= 1
-        assert stats["pred_banks_loaded"] >= 1
+        # Banks are derived state: rebuilt from the restored digest.
+        assert stats["cache_banks_built"] >= 1
+        assert stats["pred_banks_built"] >= 1
         assert stats["kernels_loaded"] >= 1
         assert stats["kernels_compiled"] == 0
         assert [result_fields(result) for result in cold] \
             == [result_fields(result) for result in warm]
 
-    def test_bank_store_keys_predict_persisted_entries(
+    def test_digest_store_key_predicts_persisted_entry(
             self, loop_nest_trace, tmp_path, python_engine):
-        """The fleet's pin helper names exactly the digest/bank keys a
-        persisted sweep creates, without building any of them."""
-        from repro.uarch.sweep import bank_store_keys
+        """The fleet's pin helper names exactly the digest key a
+        persisted sweep creates, without building the digest."""
+        from repro.uarch.sweep import digest_store_key
         store = ArtifactStore(root=str(tmp_path), enabled=True)
         self._forget(loop_nest_trace)
-        predicted = bank_store_keys(loop_nest_trace, GRID[:4])
-        assert any(key.startswith("sweep-digest-") for key in predicted)
-        assert any(key.startswith("sweep-cbank-") for key in predicted)
-        assert any(key.startswith("sweep-pbank-") for key in predicted)
+        predicted = digest_store_key(loop_nest_trace)
+        assert predicted.startswith("sweep-digest-")
         simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
                                 max_instructions=CAP, store=store)
         persisted = {key for key, _, _ in store.entries()}
-        assert set(predicted) <= persisted
+        assert predicted in persisted
+
+    def test_stored_sweep_writes_only_digests_and_kernels(
+            self, loop_nest_trace, tmp_path, engine):
+        self._forget(loop_nest_trace)
+        cold = simulate_pipeline_sweep(loop_nest_trace, GRID,
+                                       max_instructions=CAP,
+                                       store=ArtifactStore(enabled=False))
+        store = ArtifactStore(root=str(tmp_path), enabled=True)
+        for _ in range(2):  # a cold store, then a warm one
+            self._forget(loop_nest_trace)
+            stored = simulate_pipeline_sweep(loop_nest_trace, GRID,
+                                             max_instructions=CAP,
+                                             store=store)
+            assert [result_fields(result) for result in stored] \
+                == [result_fields(result) for result in cold]
+        kinds = {key.rsplit("-", 1)[0] for key, _, _ in store.entries()}
+        assert "sweep-digest" in kinds
+        assert kinds <= {"sweep-digest", "sweep-kernel"}
 
     def test_corrupt_entries_are_rebuilt(self, loop_nest_trace, tmp_path,
                                          python_engine):
@@ -324,6 +340,35 @@ class TestSweepStats:
         manifest = RunManifest.collect("test", target="loop-nest")
         assert manifest.sweep is not None
         assert manifest.sweep["grids"] == 1
+        assert validate_manifest(manifest.to_dict()) == []
+
+    def test_manifest_names_replay_engines(self, loop_nest_trace, engine):
+        """Each bank built counts toward the engine that replayed it, and
+        the manifest's sweep block carries both layers' counts."""
+        fresh = DynamicTrace(loop_nest_trace.program,
+                             loop_nest_trace.pcs.copy(),
+                             loop_nest_trace.addrs.copy(),
+                             loop_nest_trace.taken.copy())
+        ran = "native" if native.available() else "reference"
+        was_enabled = REGISTRY.enabled
+        REGISTRY.enable()
+        try:
+            before = sweep_stats_snapshot()
+            # gap (base) and nottaken (design change 4): only the
+            # counter predictor needs a replay.
+            simulate_pipeline_sweep(fresh, GRID, max_instructions=CAP)
+            manifest = RunManifest.collect("test", target="loop-nest")
+        finally:
+            if not was_enabled:
+                REGISTRY.disable()
+        sweep = manifest.sweep
+        for layer in ("cache", "predictor"):
+            for name in ("native", "reference"):
+                assert f"{layer}_replays_{name}" in sweep
+        assert (sweep["predictor_replays_" + ran]
+                - before["predictor_replays_" + ran]) == 1
+        assert (sweep["cache_replays_" + ran]
+                > before["cache_replays_" + ran])
         assert validate_manifest(manifest.to_dict()) == []
 
     def test_manifest_omits_sweep_when_none_ran(self):
@@ -407,7 +452,7 @@ class TestStudyParallelism:
 
 
 # ----------------------------------------------------------------------
-# Vectorized predictors vs the scalar specification
+# Predictor outcome banks vs the scalar specification
 # ----------------------------------------------------------------------
 class TestPredictorEquivalence:
     KINDS = ["nottaken", "taken", "bimodal", "gap", "gshare"]
