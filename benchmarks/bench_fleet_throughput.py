@@ -3,8 +3,8 @@
 The existing grid engine (``repro.evaluation.experiments`` /
 ``repro sweep --jobs``) distributes a matrix by scattering independent
 cells over a process pool: every task re-acquires its trace through the
-artifact store and runs a one-config sweep, so digests, outcome banks,
-and compiled kernels are re-loaded (at best) per *cell*.  The fleet
+artifact store and runs a one-config sweep, so digests are re-loaded
+(at best) and outcome banks rebuilt per *cell*.  The fleet
 path (``repro.fleet``) shards the same cells by trace with reuse-
 affinity ordering and routes consecutive cells through one
 :class:`~repro.uarch.incremental.IncrementalSession` per trace — the
@@ -126,8 +126,8 @@ def _prewarm_traces(recipe):
 
     Both paths start from traces-already-profiled — the common fleet
     posture (profiling is a separate, cached step) — so the timed
-    regions compare grid *scheduling and reuse*, with digests, banks,
-    and compiled kernels still cold.
+    regions compare grid *scheduling and reuse*, with digests and banks
+    still cold.
     """
     from repro.exec import trace_artifacts
     from repro.workloads import get_workload

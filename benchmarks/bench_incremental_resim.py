@@ -56,9 +56,9 @@ GRID = ([BASE_CONFIG] + list(DESIGN_CHANGES)
 
 SMOKE_NAMES = ["crc32", "sha", "qsort", "fft"]
 
-#: Single-knob refinements applied to the base config — one per artifact
-#: dependence class (kernel-params only, cache bank, predictor bank,
-#: kernel shape, FU latency).
+#: Single-knob refinements applied to the base config: scheduling-only
+#: edits (ROB size, width, FU latency) that reuse every artifact, and
+#: edits that rebuild the cache bank or the predictor bank.
 KNOB_EDITS = [
     ("rob=32", BASE_CONFIG.renamed("rob-32", rob_size=32)),
     ("l1d/2", BASE_CONFIG.renamed(
@@ -84,8 +84,7 @@ def _result_fields(result):
 
 def _forget(trace):
     for holder, attribute in ((trace, "_sweep_digest"),
-                              (trace.program, "_sweep_static"),
-                              (trace.program, "_sweep_kernels")):
+                              (trace.program, "_sweep_static")):
         if hasattr(holder, attribute):
             delattr(holder, attribute)
 

@@ -31,10 +31,12 @@ zero cost when disabled).
 
 Global flags (valid before or after the subcommand): ``--verbose`` /
 ``--quiet`` control the structured log level (also settable via the
-``REPRO_LOG_LEVEL`` environment variable; ``--quiet`` additionally
-disables telemetry entirely), ``--json`` switches the command's output
-to a single JSON object including the run manifest, and ``--run-dir``
-persists that manifest to disk for later ``repro report``.
+``REPRO_LOG_LEVEL`` environment variable), ``--json`` switches the
+command's output to a single JSON object including the run manifest,
+and ``--run-dir`` persists that manifest to disk for later ``repro
+report``.  Verbosity never decides what a run records: telemetry is on
+whenever a manifest will be written (and for every non-quiet run), so
+only a plain ``--quiet`` run skips it.
 
 ``compare`` and ``sweep`` take ``--jobs N`` (or the ``REPRO_JOBS``
 environment variable) to fan independent simulations out over a process
@@ -251,10 +253,10 @@ def _chunks(items, n):
 def _compare_sim_worker(state, which):
     real_trace, clone_trace, config = state
     trace = real_trace if which == "real" else clone_trace
-    # A one-config grid: digests, outcome banks, and compiled kernels
-    # persist through the artifact store, so repeat compares skip
-    # straight to scheduling — and the run manifest picks up the
-    # sweep-reuse accounting.
+    # A one-config grid: the trace digest persists through the
+    # artifact store, so repeat compares skip straight to the banks and
+    # scheduling — and the run manifest picks up the sweep-reuse
+    # accounting.
     [result] = simulate_pipeline_sweep(trace, [config])
     return which, result
 
@@ -1065,21 +1067,23 @@ def main(argv=None):
         # Exported (not just stored) so exec's worker processes and any
         # library code resolving the backend see the same selection.
         os.environ["REPRO_SIM_BACKEND"] = args.sim_backend
+    # Runs whose manifest someone will read (a run dir, or --json)
+    # record whatever the console verbosity; read-only commands never
+    # collect a manifest.
+    recording = bool((args.run_dir or getattr(args, "json", False))
+                     and args.command not in _READONLY_COMMANDS)
     if args.quiet:
         configure_logging(level=WARNING)
-        set_telemetry_enabled(False)
-    else:
-        if args.verbose:
-            configure_logging(level=DEBUG)
-        set_telemetry_enabled(True)
+    elif args.verbose:
+        configure_logging(level=DEBUG)
+    set_telemetry_enabled(recording or not args.quiet)
     reset_telemetry()
     reset_sweep_stats()
     default_store().reset_counters()
 
     # Runs that persist a run dir also record an event journal there;
     # read-only commands must never clobber the journal they inspect.
-    journaling = bool(args.run_dir and not args.quiet
-                      and args.command not in _READONLY_COMMANDS)
+    journaling = bool(recording and args.run_dir)
     if journaling:
         configure_journal(args.run_dir, fresh=True)
         emit_event("run_begin", command=args.command,
@@ -1087,7 +1091,7 @@ def main(argv=None):
                    jobs=getattr(args, "jobs", None),
                    argv=list(argv) if argv is not None else sys.argv[1:])
     profiler = None
-    if getattr(args, "profile", False) and not args.quiet:
+    if getattr(args, "profile", False):
         profiler = SamplingProfiler().start()
 
     ctx = RunContext(args)
@@ -1149,8 +1153,7 @@ def main(argv=None):
     manifest = None
     # Manifest collection (incl. a git-rev subprocess) only happens when
     # something will consume it, so plain/--quiet runs pay nothing.
-    if (args.command not in _READONLY_COMMANDS
-            and (ctx.json_mode or args.run_dir)):
+    if recording:
         manifest = RunManifest.collect(
             command=args.command, target=getattr(args, "target", None),
             seed=getattr(args, "seed", None), config=ctx.config,

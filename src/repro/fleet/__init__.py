@@ -9,8 +9,8 @@ resumable system for large kernel × config × seed matrices:
   (atomic lockfile leases, heartbeats, dead-pid/TTL reclaim) shared by
   any number of worker processes or hosts;
 * :mod:`repro.fleet.scheduler` — reuse-affinity sharding that keeps
-  cells sharing a trace digest, outcome bank, or compiled kernel on one
-  worker back-to-back;
+  cells sharing a trace digest or outcome bank on one worker
+  back-to-back;
 * :mod:`repro.fleet.worker` — the worker loop routing consecutive cells
   through :class:`~repro.uarch.incremental.IncrementalSession` instead
   of cold sweeps;

@@ -21,8 +21,8 @@ rest of the stack instruments itself with:
   code to the enclosing span.
 
 Telemetry is ON by default (its cost is per-phase, not per-instruction);
-``set_telemetry_enabled(False)`` — or the CLI's ``--quiet`` — turns the
-whole subsystem into no-ops.
+``set_telemetry_enabled(False)`` — or the CLI's ``--quiet`` on a run that
+records no manifest — turns the whole subsystem into no-ops.
 """
 
 from repro.obs.journal import (

@@ -67,13 +67,29 @@ class TestJournaledRun:
         names = {node.name for node in root.walk()}
         assert "exec.task" in names
 
-    def test_quiet_suppresses_journaling(self, tmp_path, capsys):
+    def test_quiet_run_dir_still_records(self, tmp_path, capsys):
+        # -q lowers the log level only: the run dir still gets a
+        # journal that `repro trace` can read, and the manifest's
+        # replay counters are live, not zeroed by disabled telemetry.
         run_dir = tmp_path / "quiet-run"
-        assert main(["profile", "crc32", "-o",
-                     str(tmp_path / "p.json"), "--run-dir", str(run_dir),
+        assert main(["-q", "--run-dir", str(run_dir), "compare", "crc32",
+                     "--instructions", "17000"]) == 0
+        configure_journal(None)
+        assert any(name.startswith("journal-")
+                   for name in os.listdir(run_dir))
+        assert main(["trace", str(run_dir)]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        sweep = manifest["sweep"]
+        for layer in ("cache", "predictor"):
+            assert (sweep[f"{layer}_replays_native"]
+                    + sweep[f"{layer}_replays_reference"]) > 0, layer
+
+    def test_plain_quiet_run_records_nothing(self, tmp_path, capsys):
+        from repro.obs.metrics import REGISTRY
+        assert main(["profile", "crc32", "-o", str(tmp_path / "p.json"),
                      "--quiet"]) == 0
-        assert not any(name.startswith("journal-")
-                       for name in os.listdir(run_dir))
+        assert not REGISTRY.enabled
+        assert os.listdir(tmp_path) == ["p.json"]
 
 
 class TestTraceCommand:

@@ -70,7 +70,7 @@ class TestPlanClassification:
             BASE_CONFIG.l1d.line))
         plan = plan_incremental(BASE_CONFIG, edited)
         assert plan.rebuilt == ("cache_bank",)
-        assert set(plan.reused) == {"digest", "pred_bank", "kernel"}
+        assert set(plan.reused) == {"digest", "pred_bank"}
         assert "l1d" in plan.changed_fields
         assert not plan.full_rebuild
 
@@ -79,30 +79,29 @@ class TestPlanClassification:
             BASE_CONFIG, BASE_CONFIG.renamed("nt", predictor="nottaken"))
         assert plan.rebuilt == ("pred_bank",)
 
-    def test_shape_knob_rebuilds_kernel_only(self):
+    @pytest.mark.parametrize("edit", [
+        {"width": 2}, {"rob_size": 32}, {"rob_size": 24}, {"lsq_size": 5},
+        {"fetch_queue": 3}, {"n_int_alu": 1}, {"in_order": True},
+        {"mispredict_penalty": 0},
+    ])
+    def test_scheduling_knobs_reuse_every_artifact(self, edit):
+        # The timing loop reads scheduling knobs per call, so no
+        # artifact depends on them.
         plan = plan_incremental(
-            BASE_CONFIG, BASE_CONFIG.renamed("w2", width=2))
-        assert plan.rebuilt == ("kernel",)
-
-    def test_ring_resize_within_pow2_reuses_kernel(self):
-        # 16 -> 32 entries keeps the ring power-of-two, so only the
-        # runtime parameter tuple changes; no artifact is rebuilt.
-        plan = plan_incremental(
-            BASE_CONFIG, BASE_CONFIG.renamed("rob32", rob_size=32))
+            BASE_CONFIG, BASE_CONFIG.renamed("edited", **edit))
         assert plan.rebuilt == ()
-        assert plan.params_changed
+        assert set(plan.reused) == {"digest", "cache_bank", "pred_bank"}
+        assert plan.changed_fields == ("name",) + tuple(edit)
 
     def test_latency_knob_rebuilds_nothing(self):
         plan = plan_incremental(
             BASE_CONFIG, BASE_CONFIG.renamed("slow", latency_fmul=6))
         assert plan.rebuilt == ()
-        assert plan.params_changed
 
     def test_rename_only_changes_nothing(self):
         plan = plan_incremental(BASE_CONFIG, BASE_CONFIG.renamed("alias"))
         assert plan.changed_fields == ("name",)
         assert plan.rebuilt == ()
-        assert not plan.params_changed
 
     def test_digest_always_survives_config_edits(self):
         edited = BASE_CONFIG.renamed(
@@ -110,7 +109,7 @@ class TestPlanClassification:
             l1d=CacheConfig(4096, 1, 32), memory_latency=80)
         plan = plan_incremental(BASE_CONFIG, edited)
         assert "digest" in plan.reused
-        assert set(plan.rebuilt) == {"cache_bank", "pred_bank", "kernel"}
+        assert set(plan.rebuilt) == {"cache_bank", "pred_bank"}
 
 
 class TestRandomKnobWalk:
@@ -126,7 +125,7 @@ class TestRandomKnobWalk:
             incremental = session.run(config)
             plan = session.last_plan
             assert set(plan.reused) | set(plan.rebuilt) \
-                == {"digest", "cache_bank", "pred_bank", "kernel"}
+                == {"digest", "cache_bank", "pred_bank"}
             cold = simulate_pipeline(crc32_trace, config,
                                      max_instructions=CAP)
             assert result_fields(incremental) == result_fields(cold), \
@@ -153,8 +152,7 @@ class TestProfileDelta:
             profile, total_instructions=profile.total_instructions + 1)
         plan = plan_profile_delta(profile, perturbed)
         assert plan.full_rebuild
-        assert set(plan.rebuilt) \
-            == {"digest", "cache_bank", "pred_bank", "kernel"}
+        assert set(plan.rebuilt) == {"digest", "cache_bank", "pred_bank"}
 
     def test_crc32_clone_refinement_equivalence(self, crc32_trace):
         """A perturbed-profile clone re-times bit-identically.

@@ -472,12 +472,10 @@ class TestStreaming:
         assert isinstance(streamed.trace, TraceRef)
         assert streamed.trace.content_digest() == trace.content_digest()
         for name in ("b_pos", "b_pcs", "b_taken", "m_pos", "m_addrs",
-                     "pcs", "visit_starts", "visit_blocks"):
+                     "pcs"):
             np.testing.assert_array_equal(getattr(streamed, name),
                                           getattr(reference, name),
                                           err_msg=name)
-        assert streamed.masks_agree == reference.masks_agree
-        assert streamed.blocks_ok == reference.blocks_ok
 
     def test_acquired_digest_times_identically(self):
         program = build_workload("crc32")

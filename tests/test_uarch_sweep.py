@@ -9,10 +9,10 @@ the whole contract:
   and a superscalar width sweep;
 * identical results with and without telemetry, under a cap that lands
   mid basic-block, and with no cap at all;
-* the interpreted fallback for traces that violate block structure;
-* digest/kernel persistence round-trips through the artifact store,
-  including corrupt-entry tolerance, while outcome banks are rebuilt
-  in memory and never stored;
+* traces that start mid-block, on both timing loops;
+* digest persistence round-trips through the artifact store, including
+  corrupt-entry tolerance, while outcome banks are rebuilt in memory
+  and never stored;
 * serial vs ``--jobs`` grid studies produce identical JSON;
 * the predictor outcome banks match the scalar predictor
   specification kind by kind.
@@ -37,7 +37,6 @@ from repro.uarch import (
     DESIGN_CHANGES,
     simulate_pipeline,
     simulate_pipeline_sweep,
-    trace_digest,
 )
 from repro.uarch.branch_predictors import (
     simulate_predictor,
@@ -77,7 +76,7 @@ def engine(request, monkeypatch):
 
 @pytest.fixture()
 def python_engine(monkeypatch):
-    """Force the compiled-Python kernels + interpreter (no C loop)."""
+    """Force the interpreted timing loop (no C loop)."""
     monkeypatch.setenv("REPRO_NATIVE", "off")
     native.reset()
     yield
@@ -134,8 +133,7 @@ class TestCorpusEquivalence:
 
     def test_cap_lands_mid_block(self, loop_nest_trace, engine):
         # 12345 is deliberately not a multiple of any block length, so
-        # the kernel must hand the final partial visit back to the
-        # interpreted path.
+        # the cap cuts the final block visit short.
         assert_sweep_equivalent(loop_nest_trace, GRID,
                                 max_instructions=12_345)
 
@@ -183,24 +181,25 @@ class TestTelemetryParity:
 class TestFallback:
     @pytest.fixture()
     def shifted_trace(self, loop_nest_trace):
-        # Dropping the first instruction makes the trace start mid-block,
-        # which violates the digest's block-walk invariant.
+        # Dropping the first instruction makes the trace start mid-block.
         return DynamicTrace(loop_nest_trace.program,
                             loop_nest_trace.pcs[1:].copy(),
                             loop_nest_trace.addrs[1:].copy(),
                             loop_nest_trace.taken[1:].copy())
 
-    def test_structure_violation_detected(self, shifted_trace):
-        assert not trace_digest(shifted_trace).blocks_ok
+    def test_mid_block_start_is_exact(self, shifted_trace, engine):
+        assert_sweep_equivalent(shifted_trace, GRID[:4])
 
     def test_fallback_is_still_exact(self, shifted_trace, python_engine):
         reset_sweep_stats()
         assert_sweep_equivalent(shifted_trace, GRID[:4])
         stats = sweep_stats_snapshot()
         assert stats["fallback_configs"] == 4
-        assert stats["kernels_compiled"] == 0
+        assert stats["native_configs"] == 0
 
     def test_corpus_runs_never_fall_back(self, loop_nest_trace):
+        if not native.available():
+            pytest.skip("without a C loop every config is a fallback")
         reset_sweep_stats()
         simulate_pipeline_sweep(loop_nest_trace, GRID,
                                 max_instructions=CAP)
@@ -208,14 +207,13 @@ class TestFallback:
 
 
 # ----------------------------------------------------------------------
-# Digest/kernel persistence (outcome banks are never stored)
+# Digest persistence (outcome banks are never stored)
 # ----------------------------------------------------------------------
 class TestPersistence:
     def _forget(self, trace):
         """Drop in-memory memoization so the store is the only cache."""
         for holder, attr in ((trace, "_sweep_digest"),
-                             (trace.program, "_sweep_static"),
-                             (trace.program, "_sweep_kernels")):
+                             (trace.program, "_sweep_static")):
             if hasattr(holder, attr):
                 delattr(holder, attr)
 
@@ -227,7 +225,6 @@ class TestPersistence:
                                        max_instructions=CAP, store=store)
         stats = sweep_stats_snapshot()
         assert stats["digests_saved"] == 1
-        assert stats["kernels_saved"] >= 1
 
         self._forget(loop_nest_trace)
         reset_sweep_stats()
@@ -239,8 +236,6 @@ class TestPersistence:
         # Banks are derived state: rebuilt from the restored digest.
         assert stats["cache_banks_built"] >= 1
         assert stats["pred_banks_built"] >= 1
-        assert stats["kernels_loaded"] >= 1
-        assert stats["kernels_compiled"] == 0
         assert [result_fields(result) for result in cold] \
             == [result_fields(result) for result in warm]
 
@@ -258,7 +253,7 @@ class TestPersistence:
         persisted = {key for key, _, _ in store.entries()}
         assert predicted in persisted
 
-    def test_stored_sweep_writes_only_digests_and_kernels(
+    def test_stored_sweep_writes_only_digests(
             self, loop_nest_trace, tmp_path, engine):
         self._forget(loop_nest_trace)
         cold = simulate_pipeline_sweep(loop_nest_trace, GRID,
@@ -273,8 +268,7 @@ class TestPersistence:
             assert [result_fields(result) for result in stored] \
                 == [result_fields(result) for result in cold]
         kinds = {key.rsplit("-", 1)[0] for key, _, _ in store.entries()}
-        assert "sweep-digest" in kinds
-        assert kinds <= {"sweep-digest", "sweep-kernel"}
+        assert kinds == {"sweep-digest"}
 
     def test_corrupt_entries_are_rebuilt(self, loop_nest_trace, tmp_path,
                                          python_engine):
@@ -287,7 +281,7 @@ class TestPersistence:
         for key, _, _ in store.entries():
             entry = store.entry_dir(key)
             for filename in os.listdir(entry):
-                if filename.endswith((".npz", ".marshal")):
+                if filename.endswith(".npz"):
                     with open(os.path.join(entry, filename), "wb") as fh:
                         fh.write(b"not a payload")
                     clobbered += 1
@@ -299,7 +293,6 @@ class TestPersistence:
             loop_nest_trace, GRID[:4], max_instructions=CAP, store=store)
         stats = sweep_stats_snapshot()
         assert stats["digests_built"] == 1
-        assert stats["kernels_compiled"] >= 1
         assert [result_fields(result) for result in cold] \
             == [result_fields(result) for result in recovered]
 
@@ -310,7 +303,6 @@ class TestPersistence:
         assert_sweep_equivalent(loop_nest_trace, GRID[:2], store=store)
         stats = sweep_stats_snapshot()
         assert stats["digests_saved"] == 0
-        assert stats["kernels_saved"] == 0
         assert store.entries() == []
 
 
@@ -330,7 +322,7 @@ class TestSweepStats:
         assert stats["distinct_hierarchies"] < len(GRID)
         assert stats["distinct_predictors"] < len(GRID)
         reused = (stats["digests_reused"] + stats["cache_banks_reused"]
-                  + stats["pred_banks_reused"] + stats["kernels_reused"])
+                  + stats["pred_banks_reused"])
         assert reused > 0
 
     def test_manifest_carries_sweep_block(self, loop_nest_trace):
@@ -400,7 +392,6 @@ class TestNative:
                                 max_instructions=CAP)
         stats = sweep_stats_snapshot()
         assert stats["native_configs"] == len(GRID)
-        assert stats["kernels_compiled"] == 0
         assert stats["fallback_configs"] == 0
 
     @needs_native
