@@ -10,7 +10,8 @@ the recorded speedups are guaranteed to be numerics-preserving:
   compiler is available (identical miss counts);
 * cold pipeline builds vs warm artifact-store hits (identical profiles,
   clone assembly, and traces — and the warm path must be faster, since
-  a hit skips both functional simulations);
+  a hit skips profiling and synthesis and only re-runs the two
+  functional simulations);
 * serial vs parallel ``cache_correlation_study`` (identical
   correlations and MPI matrices).
 """

@@ -2,9 +2,9 @@
 
 The existing grid engine (``repro.evaluation.experiments`` /
 ``repro sweep --jobs``) distributes a matrix by scattering independent
-cells over a process pool: every task re-acquires its trace through the
-artifact store and runs a one-config sweep, so digests are re-loaded
-(at best) and outcome banks rebuilt per *cell*.  The fleet
+cells over a process pool: every task re-runs its program on the
+resolved functional backend and runs a one-config sweep, so digests
+and outcome banks are rebuilt per *cell*.  The fleet
 path (``repro.fleet``) shards the same cells by trace with reuse-
 affinity ordering and routes consecutive cells through one
 :class:`~repro.uarch.incremental.IncrementalSession` per trace — the
@@ -99,15 +99,10 @@ def _baseline_cell(task):
     lands this cell shares nothing in-process with the worker that
     landed the neighboring config of the same kernel.
     """
-    from repro.exec import trace_artifacts
-    from repro.workloads import get_workload
-
     recipe_dict, index = task
     recipe = Recipe(**recipe_dict)
     cell = recipe.expand()[index]
-    source = get_workload(cell.kernel).source()
-    trace = trace_artifacts(cell.kernel, source,
-                            max_instructions=recipe.functional_cap).trace
+    trace = _acquire(cell.kernel, recipe.functional_cap)
     [result] = simulate_pipeline_sweep(trace, [cell.config],
                                        max_instructions=recipe.pipeline_cap)
     power = shared_power_model(cell.config).evaluate(result).total
@@ -121,20 +116,26 @@ def _recipe_kwargs(recipe):
                      for field, values in recipe.axes.items()]}
 
 
-def _prewarm_traces(recipe):
-    """Populate the current store with the matrix's traces (untimed).
-
-    Both paths start from traces-already-profiled — the common fleet
-    posture (profiling is a separate, cached step) — so the timed
-    regions compare grid *scheduling and reuse*, with digests and banks
-    still cold.
-    """
-    from repro.exec import trace_artifacts
+def _acquire(kernel, functional_cap):
+    """One kernel's trace, run on the resolved functional backend."""
+    from repro.isa.assembler import assemble
+    from repro.sim import resolve_backend, run_program
     from repro.workloads import get_workload
 
+    program = assemble(get_workload(kernel).source(), name=kernel)
+    return run_program(program, max_instructions=functional_cap,
+                       backend=resolve_backend(None, program))
+
+
+def _prewarm_traces(recipe):
+    """Run every kernel of the matrix once (untimed).
+
+    Compiles each program's native engine into the current cache dir,
+    so both timed paths start with warm engines and re-acquire their
+    traces by re-running, while digests and banks are still cold.
+    """
     for kernel in recipe.kernels:
-        trace_artifacts(kernel, get_workload(kernel).source(),
-                        max_instructions=recipe.functional_cap)
+        _acquire(kernel, recipe.functional_cap)
 
 
 def _variant_row(label, names, axes, staging):

@@ -8,11 +8,11 @@ are guaranteed to be numerics-preserving.
 
 Three sweep columns per kernel:
 
-* ``cold``  — nothing cached anywhere: digest + banks built, the
-  digest persisted to a fresh artifact store.  What the first grid
-  study over a new trace pays.
-* ``store`` — in-memory state dropped, artifact store warm: the digest
-  loads from disk and the outcome banks are rebuilt.  What a re-run
+* ``cold``  — nothing cached: digest + banks built.  What the first
+  grid study over a new trace pays.
+* ``store`` — in-memory state dropped again after the cold sweep.
+  Nothing is loaded from the artifact store (digests and banks are
+  never persisted), so the digest and banks are rebuilt: what a re-run
   (or a parallel worker in another process) pays.
 * ``warm``  — same-process re-sweep with memoization intact.  What the
   second study in one ``repro exec`` invocation pays.
@@ -34,7 +34,6 @@ import time
 
 import numpy as np
 
-from repro.exec.store import ArtifactStore
 from repro.obs.journal import (configure_journal, emit_event,
                                suspend_journal)
 from repro.sim import FunctionalSimulator
@@ -71,14 +70,14 @@ def _result_fields(result):
 
 
 def _forget(trace):
-    """Drop in-memory sweep state so only the artifact store is warm."""
+    """Drop in-memory sweep state (digest, banks, static tables)."""
     for holder, attribute in ((trace, "_sweep_digest"),
                               (trace.program, "_sweep_static")):
         if hasattr(holder, attribute):
             delattr(holder, attribute)
 
 
-def _sweep_rows(names, store):
+def _sweep_rows(names):
     """Per-kernel reference vs cold/store-warm/warm sweep timings."""
     rows = []
     for index, name in enumerate(names):
@@ -93,20 +92,18 @@ def _sweep_rows(names, store):
         _forget(trace)
         start = time.perf_counter()
         cold = simulate_pipeline_sweep(trace, GRID,
-                                       max_instructions=PIPELINE_CAP,
-                                       store=store)
+                                       max_instructions=PIPELINE_CAP)
         cold_s = time.perf_counter() - start
 
         _forget(trace)
         start = time.perf_counter()
         store_warm = simulate_pipeline_sweep(
-            trace, GRID, max_instructions=PIPELINE_CAP, store=store)
+            trace, GRID, max_instructions=PIPELINE_CAP)
         store_s = time.perf_counter() - start
 
         start = time.perf_counter()
         warm = simulate_pipeline_sweep(trace, GRID,
-                                       max_instructions=PIPELINE_CAP,
-                                       store=store)
+                                       max_instructions=PIPELINE_CAP)
         warm_s = time.perf_counter() - start
 
         for swept in (cold, store_warm, warm):
@@ -132,21 +129,17 @@ OVERHEAD_NAMES = ["crc32", "fft"]
 
 
 def _overhead_sweep_once(trace, journal_dir):
-    """One cold sweep in a throwaway store; journaled iff ``journal_dir``."""
-    staging = tempfile.mkdtemp(prefix="bench-uarch-ovh-")
+    """One cold sweep; journaled iff ``journal_dir``."""
+    _forget(trace)
+    if journal_dir is not None:
+        configure_journal(journal_dir, fresh=True)
     try:
-        store = ArtifactStore(root=staging, enabled=True)
-        _forget(trace)
-        if journal_dir is not None:
-            configure_journal(journal_dir, fresh=True)
         start = time.perf_counter()
-        simulate_pipeline_sweep(trace, GRID,
-                                max_instructions=PIPELINE_CAP, store=store)
+        simulate_pipeline_sweep(trace, GRID, max_instructions=PIPELINE_CAP)
         return time.perf_counter() - start
     finally:
         if journal_dir is not None:
             configure_journal(None)
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _journal_overhead(names, reps=5):
@@ -183,12 +176,7 @@ def _measure(names, overhead=True):
     # per-machine install artifact (content-addressed in the cache
     # dir), not part of any kernel's cold-sweep cost.
     native.available()
-    staging = tempfile.mkdtemp(prefix="bench-uarch-sweep-")
-    try:
-        store = ArtifactStore(root=staging, enabled=True)
-        rows = _sweep_rows(names, store)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    rows = _sweep_rows(names)
     return {
         "configs": [config.name for config in GRID],
         "pipeline_cap": PIPELINE_CAP,
@@ -209,7 +197,7 @@ def _render(data):
             f"{data['pipeline_cap']} instructions, run vs sweep):\n")
     text += format_table(header, data["rows"], float_format="{:.2f}")
     text += (f"\n  geomean speedup: {data['geomean_cold']:.2f}x cold"
-             f" / {data['geomean_store']:.2f}x store-warm"
+             f" / {data['geomean_store']:.2f}x store (rebuilt)"
              f" / {data['geomean_warm']:.2f}x warm")
     if data.get("journal_overhead_cold"):
         overhead = (data["journal_overhead_cold"] - 1.0) * 100.0

@@ -4,8 +4,8 @@ Three cooperating layers make the (workload × microarchitecture) grid —
 the paper's whole evaluation — cheap to re-run:
 
 * :mod:`repro.exec.store` — a persistent content-addressed artifact
-  cache (traces, profiles, clone assembly) shared across processes,
-  keyed so hits are bit-identical to cold runs;
+  cache (profiles, clone assembly) shared across processes, keyed so
+  hits are bit-identical to cold runs;
 * :mod:`repro.exec.artifacts` — the cache-backed pipeline runner that
   experiments, the CLI, and benchmarks all call;
 * :mod:`repro.exec.parallel` — order-preserving process-pool mapping
@@ -16,10 +16,7 @@ the paper's whole evaluation — cheap to re-run:
 from repro.exec.artifacts import (
     DEFAULT_MAX_FUNCTIONAL,
     Artifacts,
-    TraceArtifacts,
     pipeline_artifacts,
-    trace_artifact_key,
-    trace_artifacts,
 )
 from repro.exec.parallel import parallel_map, resolve_jobs, shared_state_map
 from repro.exec.store import (
@@ -37,7 +34,6 @@ __all__ = [
     "Artifacts",
     "ArtifactStore",
     "DEFAULT_MAX_FUNCTIONAL",
-    "TraceArtifacts",
     "artifact_key",
     "cache_enabled",
     "default_cache_dir",
@@ -47,6 +43,4 @@ __all__ = [
     "reset_default_store",
     "resolve_jobs",
     "shared_state_map",
-    "trace_artifact_key",
-    "trace_artifacts",
 ]

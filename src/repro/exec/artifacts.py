@@ -4,11 +4,14 @@
 assembly source and synthesis parameters it either replays the whole
 build → run → profile → synthesize → run-clone pipeline, or
 reconstitutes every product from the persistent :mod:`repro.exec.store`.
-Reconstitution is exact by construction — the trace arrays round-trip
-through ``.npz`` losslessly, the profile through its JSON schema, and
-the clone is re-assembled from the stored assembly text with the same
-deterministic assembler that produced it — so downstream simulations
-cannot tell a warm run from a cold one.
+The store holds only what is expensive to recompute — the profile and
+the clone assembly — and a hit re-runs both programs on the keyed
+functional-simulator backend to re-acquire their traces (cheaper than
+an ``.npz`` round trip).  Reconstitution is exact by construction — the
+profile round-trips through its JSON schema, the clone is re-assembled
+from the stored assembly text with the same deterministic assembler
+that produced it, and the functional simulators are deterministic — so
+downstream simulations cannot tell a warm run from a cold one.
 """
 
 import os
@@ -23,7 +26,6 @@ from repro.isa.assembler import assemble
 from repro.obs.logging import get_logger
 from repro.obs.timing import span
 from repro.sim.functional import run_program
-from repro.sim.trace import DynamicTrace
 from repro.sim.turbo import resolve_backend
 
 _LOG = get_logger("repro.exec.artifacts")
@@ -43,8 +45,8 @@ class Artifacts:
     profile: object
     clone: object  # CloneResult
     clone_trace: object
-    #: Resolved functional-simulator backend that produced (or, on a
-    #: cache hit, originally produced) the traces:
+    #: Resolved functional-simulator backend that produced the traces
+    #: (on a cache hit too, where it re-acquires them):
     #: ``native``/``turbo``/``interp``.
     sim_backend: str = "interp"
 
@@ -64,9 +66,13 @@ def _build_artifacts(program, name, parameters, max_instructions,
                      clone_trace=clone_trace, sim_backend=sim_backend)
 
 
-def _load_artifacts(meta, entry, program, name, parameters):
-    """Reconstitute a cached entry into live pipeline objects."""
-    trace = DynamicTrace.load(os.path.join(entry, "trace.npz"), program)
+def _load_artifacts(meta, entry, program, name, parameters,
+                    max_instructions, sim_backend):
+    """Reconstitute a cached entry into live pipeline objects.
+
+    The stored files are read first, so a broken entry fails before
+    either trace is re-acquired.
+    """
     profile = WorkloadProfile.load(os.path.join(entry, "profile.json"))
     with open(os.path.join(entry, "clone.s")) as handle:
         clone_asm = handle.read()
@@ -74,12 +80,14 @@ def _load_artifacts(meta, entry, program, name, parameters):
     clone = CloneResult(program=clone_program, asm_source=clone_asm,
                         profile=profile, parameters=parameters,
                         stats=dict(meta.get("clone_stats") or {}))
-    clone_trace = DynamicTrace.load(
-        os.path.join(entry, "clone_trace.npz"), clone_program)
+    trace = run_program(program, max_instructions=max_instructions,
+                        backend=sim_backend)
+    clone_trace = run_program(clone_program,
+                              max_instructions=max_instructions,
+                              backend=sim_backend)
     return Artifacts(name=name, program=program, trace=trace,
                      profile=profile, clone=clone,
-                     clone_trace=clone_trace,
-                     sim_backend=meta.get("sim_backend", "interp"))
+                     clone_trace=clone_trace, sim_backend=sim_backend)
 
 
 def pipeline_artifacts(name, source, parameters,
@@ -104,7 +112,8 @@ def pipeline_artifacts(name, source, parameters,
         try:
             with span("exec.artifacts.load"):
                 artifacts = _load_artifacts(meta, entry, program, name,
-                                            parameters)
+                                            parameters, max_instructions,
+                                            sim_backend)
             _LOG.debug("artifacts.hit", name=name, key=key,
                        sim_backend=artifacts.sim_backend)
             return artifacts
@@ -130,8 +139,6 @@ def pipeline_artifacts(name, source, parameters,
         "clone_trace_instructions": len(artifacts.clone_trace),
     }
     files = {
-        "trace.npz": artifacts.trace.save,
-        "clone_trace.npz": artifacts.clone_trace.save,
         "profile.json": artifacts.profile.save,
         "clone.s": _text_writer(artifacts.clone.asm_source),
     }
@@ -146,64 +153,3 @@ def _text_writer(text):
             handle.write(text)
     return write
 
-
-# ----------------------------------------------------------------------
-# Trace-only entries (fleet cells timing the real workload need no
-# profile/clone, so they skip four fifths of the pipeline)
-# ----------------------------------------------------------------------
-@dataclass
-class TraceArtifacts:
-    """Just the functional-simulation products for one program."""
-
-    name: str
-    program: object
-    trace: object
-    sim_backend: str = "interp"
-
-
-def trace_artifact_key(name, source, max_instructions, sim_backend):
-    """Store key for a trace-only entry (disjoint from pipeline keys —
-    the sentinel parameters string is not a ``SynthesisParameters``
-    repr, so the two entry kinds can never alias)."""
-    return artifact_key(name, source, "trace-only", max_instructions,
-                        sim_backend=sim_backend)
-
-
-def trace_artifacts(name, source, max_instructions=DEFAULT_MAX_FUNCTIONAL,
-                    store=None):
-    """Run (or reload) just the real-workload functional simulation.
-
-    Same store semantics as :func:`pipeline_artifacts`; the entry holds
-    only ``trace.npz``.  Used by fleet cells with ``subject: real``,
-    which never need the profile or the clone.
-    """
-    store = default_store() if store is None else store
-    program = assemble(source, name=name)
-    sim_backend = resolve_backend(None, program)
-    key = trace_artifact_key(name, source, max_instructions, sim_backend)
-    cached = store.load(key)
-    if cached is not None:
-        meta, entry = cached
-        try:
-            with span("exec.artifacts.load"):
-                trace = DynamicTrace.load(
-                    os.path.join(entry, "trace.npz"), program)
-            return TraceArtifacts(name=name, program=program, trace=trace,
-                                  sim_backend=meta.get("sim_backend",
-                                                       "interp"))
-        except (OSError, KeyError, ValueError) as exc:
-            _LOG.warning("artifacts.trace_reload_failed", name=name,
-                         key=key, error=str(exc))
-    trace = run_program(program, max_instructions=max_instructions,
-                        backend=sim_backend)
-    meta = {
-        "name": name,
-        "kind": "trace-only",
-        "max_instructions": max_instructions,
-        "sim_backend": sim_backend,
-        "trace_instructions": len(trace),
-    }
-    with span("exec.artifacts.save"):
-        store.save(key, meta, {"trace.npz": trace.save})
-    return TraceArtifacts(name=name, program=program, trace=trace,
-                          sim_backend=sim_backend)

@@ -180,8 +180,8 @@ class FleetQueue:
                                        dir=self.results_dir)
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                handle.write(json.dumps(payload, indent=2, sort_keys=True)
+                             + "\n")
             os.rename(staging, self.result_path(cell_id))
         except BaseException:
             with suppress(OSError):

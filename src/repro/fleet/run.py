@@ -9,14 +9,11 @@ A run directory is the whole state of one matrix execution::
     <run>/matrix.json    canonical matrix, written when complete
     <run>/journal-*.jsonl  run journal (claims, progress, spans)
 
-:func:`run_fleet` expands the recipe, pins every pending cell's trace
-artifacts in the store, reclaims abandoned leases, and fans the shards
-out to worker processes; each worker additionally pins the digest
-entries of its live sessions once it holds the trace content needed to
-key them.  Pinning is best-effort — it guards future prunes only, so
-an eviction racing the pin write just costs a re-derivation — but it
-keeps a long matrix from routinely LRU-evicting its own warm inputs
-mid-run.  Invoking it again on the same directory *is* the
+:func:`run_fleet` expands the recipe, reclaims abandoned leases, and
+fans the shards out to worker processes.  Workers re-acquire every
+trace they time; the artifact store holds only clone cells' profiles
+and clone sources, so a store eviction mid-run costs at most one
+re-synthesis.  Invoking it again on the same directory *is* the
 resume path: completed cells are skipped byte-for-byte (their result
 files are never rewritten), only pending cells execute.  When the last
 cell lands the canonical matrix — deterministic metrics only, sorted
@@ -29,8 +26,6 @@ import multiprocessing
 import os
 import time
 
-from repro.exec.artifacts import trace_artifact_key
-from repro.exec.store import artifact_key, default_store
 from repro.fleet.queue import FleetQueue
 from repro.fleet.recipe import (
     Recipe,
@@ -72,7 +67,7 @@ def init_run(run_dir, recipe):
     directory is bound to one matrix for its whole life, which is what
     makes resume and the byte-identical export sound.  A recipe whose
     configs do not validate raises ``RecipeError`` before anything is
-    written.
+    written.  Returns the expanded cells.
     """
     cells = recipe.expand()
     os.makedirs(run_dir, exist_ok=True)
@@ -87,12 +82,13 @@ def init_run(run_dir, recipe):
     else:
         save_recipe(recipe, recipe_path)
         with open(os.path.join(run_dir, CELLS_FILENAME), "w") as handle:
-            json.dump({"schema": MATRIX_SCHEMA_VERSION,
-                       "recipe_digest": recipe.digest(),
-                       "cells": [cell.to_dict() for cell in cells]},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(
+                {"schema": MATRIX_SCHEMA_VERSION,
+                 "recipe_digest": recipe.digest(),
+                 "cells": [cell.to_dict() for cell in cells]},
+                indent=2, sort_keys=True) + "\n")
     FleetQueue(run_dir).ensure_dirs()
+    return cells
 
 
 def load_run_recipe(run_dir):
@@ -101,52 +97,6 @@ def load_run_recipe(run_dir):
         raise FleetError(f"{run_dir} is not a fleet run directory "
                          f"(no {RECIPE_FILENAME})")
     return load_recipe(recipe_path)
-
-
-# ----------------------------------------------------------------------
-# Pin-while-leased: a live run's inputs are not LRU fodder
-# ----------------------------------------------------------------------
-def _pending_artifact_keys(recipe, cells, queue):
-    """Store keys the pending cells will read (trace entries only).
-
-    The derived digest entries are keyed by trace *content*, which
-    the orchestrator does not have; each worker pins those itself via
-    :meth:`~repro.fleet.worker.FleetWorker._pin_sessions` as its
-    sessions go live.
-    """
-    from repro.core.synthesizer import SynthesisParameters
-    from repro.sim.turbo import resolve_backend
-    from repro.isa.assembler import assemble
-    from repro.workloads import get_workload
-
-    completed = queue.completed_ids()
-    pending_traces = {cell.trace_key for cell in cells
-                      if cell.cell_id not in completed}
-    keys = set()
-    for kernel, subject, seed in sorted(pending_traces):
-        try:
-            source = get_workload(kernel).source()
-            program = assemble(source, name=kernel)
-            backend = resolve_backend(None, program)
-        except Exception as exc:  # pin is best-effort, never fatal
-            _LOG.warning("fleet.pin_key_failed", kernel=kernel,
-                         error=str(exc))
-            continue
-        if subject == "clone":
-            keys.add(artifact_key(kernel, source,
-                                  SynthesisParameters(seed=seed),
-                                  recipe.functional_cap,
-                                  sim_backend=backend))
-        else:
-            keys.add(trace_artifact_key(kernel, source,
-                                        recipe.functional_cap, backend))
-    return sorted(keys)
-
-
-def _pin_owner(run_dir):
-    return "fleet-" + "".join(
-        ch if ch.isalnum() or ch in "._-" else "_"
-        for ch in os.path.abspath(run_dir))[-80:]
 
 
 # ----------------------------------------------------------------------
@@ -167,12 +117,11 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         recipe = recipe_from_dict(recipe)
     elif not isinstance(recipe, Recipe):
         raise RecipeError(f"not a recipe: {recipe!r}")
-    init_run(run_dir, recipe)
+    cells = init_run(run_dir, recipe)
     workers = max(1, int(workers))
     chaos = parse_chaos(chaos)
     lease_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
     queue = FleetQueue(run_dir, **lease_kwargs)
-    cells = recipe.expand()
 
     own_journal = active_journal() is None
     if own_journal:
@@ -181,10 +130,6 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         # follows progress with no extra flags.
         configure_journal(run_dir)
     started = time.perf_counter()
-    store = default_store()
-    pin_owner = _pin_owner(run_dir)
-    pinned = _pending_artifact_keys(recipe, cells, queue)
-    store.pin(pin_owner, pinned)
     try:
         reclaimed = queue.reclaim(worker="orchestrator")
         completed_before = len(queue.completed_ids())
@@ -230,7 +175,6 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
             if key != "worker_summaries"})
         return summary
     finally:
-        store.unpin(pin_owner)
         if own_journal:
             configure_journal(None)
 

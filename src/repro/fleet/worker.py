@@ -36,11 +36,10 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 from repro.core.synthesizer import SynthesisParameters
-from repro.exec.artifacts import pipeline_artifacts, trace_artifacts
-from repro.exec.store import default_store
+from repro.exec.artifacts import pipeline_artifacts
 from repro.fleet.queue import FleetQueue, _pid_alive
 from repro.fleet.recipe import recipe_from_dict
 from repro.fleet.scheduler import build_shards, steal_candidates
@@ -48,10 +47,9 @@ from repro.isa.assembler import assemble
 from repro.obs.journal import emit_event, emit_metric_deltas
 from repro.obs.logging import get_logger
 from repro.obs.timing import TRACER
-from repro.sim.turbo import resolve_backend
 from repro.uarch.incremental import IncrementalSession
 from repro.uarch.power import shared_power_model
-from repro.uarch.sweep import acquire_trace_digest, digest_store_key
+from repro.uarch.sweep import acquire_trace_digest
 from repro.workloads import get_workload
 
 _LOG = get_logger("repro.fleet.worker")
@@ -136,7 +134,10 @@ class FleetWorker:
         self.acquire_seconds = 0.0
         self.uarch_seconds = 0.0
         self._sessions = OrderedDict()
-        self._pin_owner = f"fleet-{self.worker_id}"
+        self._held = None
+        self._beat_lock = threading.Lock()
+        self._beat_stop = threading.Event()
+        self._beat_thread = None
 
     # ------------------------------------------------------------------
     def _trace_for(self, cell):
@@ -146,17 +147,13 @@ class FleetWorker:
             parameters = SynthesisParameters(seed=cell.seed)
             return pipeline_artifacts(cell.kernel, source, parameters,
                                       max_instructions=cap).clone_trace
+        # On the native engine, execution streams columnar chunks
+        # straight into the sweep digest and the full trace is never
+        # materialized; otherwise the trace is run on the resolved
+        # backend.  The returned trace (or TraceRef) carries the
+        # finished digest for the session's sweeps.
         program = assemble(source, name=cell.kernel)
-        if resolve_backend(None, program) == "native":
-            # Default acquisition path: the native engine streams
-            # columnar chunks straight into the sweep digest, so the
-            # full trace is never materialized (and re-simulation is
-            # cheaper than an .npz round-trip).  The returned TraceRef
-            # carries the finished digest for the session's sweeps.
-            return acquire_trace_digest(program,
-                                        max_instructions=cap).trace
-        return trace_artifacts(cell.kernel, source,
-                               max_instructions=cap).trace
+        return acquire_trace_digest(program, max_instructions=cap).trace
 
     def _session_for(self, cell):
         key = cell.trace_key
@@ -174,23 +171,7 @@ class FleetWorker:
         self._sessions[key] = session
         while len(self._sessions) > _MAX_SESSIONS:
             self._sessions.popitem(last=False)
-        self._pin_sessions()
         return session
-
-    def _pin_sessions(self):
-        """Pin the digest store keys the live sessions read and write
-        (the orchestrator can pin only trace entries up front — these
-        keys need the trace content in hand).  Best-effort, like all
-        pinning: it guards future prunes only, and a stale pin from a
-        SIGKILL-ed worker is garbage-collected by its dead pid."""
-        store = default_store()
-        if not store.enabled:
-            return
-        keys = set()
-        for session in self._sessions.values():
-            with suppress(Exception):
-                keys.add(digest_store_key(session.trace))
-        store.pin(self._pin_owner, sorted(keys))
 
     def _execute(self, cell):
         session = self._session_for(cell)
@@ -225,25 +206,34 @@ class FleetWorker:
 
     @contextmanager
     def _heartbeating(self, cell_id):
-        """Refresh the held lease from a daemon thread while the cell
-        executes, so a cell outliving the TTL is never TTL-reclaimed
-        by a cross-host sibling mid-flight."""
-        stop = threading.Event()
-        interval = max(self.queue.lease_ttl * _HEARTBEAT_FRACTION,
-                       _POLL_SECONDS)
+        """Refresh the held lease while the cell executes, so a cell
+        outliving the TTL is never TTL-reclaimed by a cross-host
+        sibling mid-flight.
 
-        def beat():
-            while not stop.wait(interval):
-                self.queue.heartbeat(cell_id, self.worker_id)
-
-        thread = threading.Thread(target=beat, daemon=True,
-                                  name=f"fleet-hb-{cell_id}")
-        thread.start()
+        One daemon thread per worker beats whichever lease is held.
+        The held id is cleared under the lock before the cell's result
+        is published, so no beat can recreate a released lease.
+        """
+        if self._beat_thread is None:
+            interval = max(self.queue.lease_ttl * _HEARTBEAT_FRACTION,
+                           _POLL_SECONDS)
+            self._beat_thread = threading.Thread(
+                target=self._beat, args=(interval,), daemon=True,
+                name=f"fleet-hb-{self.worker_id}")
+            self._beat_thread.start()
+        with self._beat_lock:
+            self._held = cell_id
         try:
             yield
         finally:
-            stop.set()
-            thread.join()
+            with self._beat_lock:
+                self._held = None
+
+    def _beat(self, interval):
+        while not self._beat_stop.wait(interval):
+            with self._beat_lock:
+                if self._held is not None:
+                    self.queue.heartbeat(self._held, self.worker_id)
 
     def _try_cell(self, cell, stolen=False):
         if not self.queue.claim(cell.cell_id, self.worker_id,
@@ -328,8 +318,7 @@ class FleetWorker:
                 time.sleep(_POLL_SECONDS)
                 continue
             break  # nothing claimable, nothing reclaimable, owners gone
-        with suppress(Exception):
-            default_store().unpin(self._pin_owner)
+        self._beat_stop.set()
         summary = {
             "worker": self.worker_id,
             "index": self.index,

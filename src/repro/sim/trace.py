@@ -12,65 +12,28 @@ Together with the static :class:`repro.isa.Program` (which supplies opcode
 class and register operands per pc), this is the complete input to both
 the microarchitecture-independent profiler and the timing models — the
 same information SimpleScalar's functional simulator feeds its tools.
-"""
 
-import hashlib
+Traces are never written to disk: the functional simulators are
+deterministic, so a trace is re-acquired by re-running its program.
+"""
 
 import numpy as np
 
 
-def write_npz(path, arrays, compress=False):
-    """Write an ``.npz`` archive; the single choke point for all trace
-    and sweep-artifact persistence.
-
-    ``compress=True`` (deflate) is worth it for long-lived trace
-    archives — dynamic traces are highly repetitive and shrink 5-10x —
-    while the artifact store's bank/digest saves sit on the cold-sweep
-    critical path, where zlib costs more wall time than the disk it
-    saves (see EXPERIMENTS.md for the measured tradeoff).
-    """
-    if compress:
-        np.savez_compressed(path, **arrays)
-    else:
-        np.savez(path, **arrays)
-
-
-def _column_bytes(array):
-    # tobytes() on a contiguous array already serializes in C order;
-    # only non-contiguous views (sliced traces) need the defensive copy.
-    if not array.flags["C_CONTIGUOUS"]:
-        array = np.ascontiguousarray(array)
-    return array.tobytes()
-
-
-def combine_column_digests(pcs_hex, addrs_hex, taken_hex):
-    """Fold three per-column sha256 hexdigests into one trace digest.
-
-    The per-column structure is what lets a streaming producer hash
-    fixed-size chunks as they appear (one running hasher per column)
-    and still agree exactly with :meth:`DynamicTrace.content_digest`
-    on the materialized arrays.
-    """
-    return hashlib.sha256(
-        (pcs_hex + addrs_hex + taken_hex).encode()).hexdigest()
-
-
 class TraceRef:
-    """A trace's identity without its full columns.
+    """A trace's program and ``pcs`` column without its other columns.
 
     Stands in for a :class:`DynamicTrace` wherever only the program,
-    the length, the ``pcs`` column, and the content digest are needed —
-    which is everything the sweep's digest store key and the
-    :class:`~repro.uarch.sweep.TraceDigest` machinery consume.  Built
-    by the streaming acquisition path, which compresses the ``addrs``
-    and ``taken`` columns into their digest subsets as chunks arrive
-    and never holds the full trace.
+    the length and the ``pcs`` column are needed — which is everything
+    the :class:`~repro.uarch.sweep.TraceDigest` machinery consumes.
+    Built by the streaming acquisition path, which compresses the
+    ``addrs`` and ``taken`` columns into their digest subsets as chunks
+    arrive and never holds the full trace.
     """
 
-    def __init__(self, program, pcs, content_digest):
+    def __init__(self, program, pcs):
         self.program = program
         self.pcs = np.asarray(pcs, dtype=np.int64)
-        self._content_digest = content_digest
 
     def __len__(self):
         return len(self.pcs)
@@ -78,9 +41,6 @@ class TraceRef:
     @property
     def length(self):
         return len(self.pcs)
-
-    def content_digest(self):
-        return self._content_digest
 
 
 class DynamicTrace:
@@ -94,7 +54,6 @@ class DynamicTrace:
         self.addrs = np.asarray(addrs, dtype=np.int64)
         self.taken = np.asarray(taken, dtype=np.int8)
         self._memory_mask = None
-        self._content_digest = None
 
     def __len__(self):
         return len(self.pcs)
@@ -126,24 +85,6 @@ class DynamicTrace:
         """Dynamic positions of all conditional branches."""
         return np.nonzero(self.taken >= 0)[0]
 
-    def content_digest(self):
-        """Combined per-column sha256, computed once per trace.
-
-        Identifies the trace *content* independently of how it was
-        produced; the sweep engine keys persisted digests and outcome
-        banks on it (together with a program fingerprint).  Hashed per
-        column and folded through :func:`combine_column_digests`, so a
-        streaming producer hashing chunk-by-chunk arrives at the same
-        digest without materializing the arrays.
-        """
-        digest = self._content_digest
-        if digest is None:
-            digest = self._content_digest = combine_column_digests(
-                hashlib.sha256(_column_bytes(self.pcs)).hexdigest(),
-                hashlib.sha256(_column_bytes(self.addrs)).hexdigest(),
-                hashlib.sha256(_column_bytes(self.taken)).hexdigest())
-        return digest
-
     def data_footprint(self, granularity=4):
         """Number of unique ``granularity``-byte data blocks touched."""
         addresses = self.memory_addresses()
@@ -162,19 +103,3 @@ class DynamicTrace:
             "branches": branches,
             "taken_branches": taken,
         }
-
-    def save(self, path, compress=True):
-        """Persist to ``.npz`` (program is *not* saved; see ``load``).
-
-        Compressed by default — trace archives are long-lived and
-        shrink well; pass ``compress=False`` for throwaway staging
-        files where write speed matters more than size.
-        """
-        write_npz(path, {"pcs": self.pcs, "addrs": self.addrs,
-                         "taken": self.taken}, compress=compress)
-
-    @classmethod
-    def load(cls, path, program):
-        """Load arrays saved by :meth:`save`, rebinding to ``program``."""
-        with np.load(path) as blob:
-            return cls(program, blob["pcs"], blob["addrs"], blob["taken"])

@@ -144,10 +144,10 @@ def plan_profile_delta(old_profile, new_profile):
     its trace, hence *every* trace-derived artifact: any material field
     change is a full rebuild of all three kinds.  Only pure relabeling
     (``name``) — or no change at all — preserves them.  Blunt, but
-    honest: it is exactly what the content-addressed store keys enforce,
-    and it is the part refinement loops must budget for (the config
-    axis, by contrast, reuses almost everything; see
-    :func:`plan_incremental`).
+    honest: a new clone is a new trace, and every artifact is cached on
+    its trace, so nothing carries over.  It is the part refinement
+    loops must budget for (the config axis, by contrast, reuses almost
+    everything; see :func:`plan_incremental`).
     """
     changed = _changed_fields(old_profile, new_profile)
     if all(name in _PROFILE_LABEL_FIELDS for name in changed):
@@ -180,16 +180,15 @@ class IncrementalSession:
     :attr:`last_plan` for callers that want to display it.
     """
 
-    def __init__(self, trace, max_instructions=None, store=None):
+    def __init__(self, trace, max_instructions=None):
         self.trace = trace
         self.max_instructions = max_instructions
-        self.store = store
         self.last_config = None
         self.last_plan = None
 
     @classmethod
     def from_program(cls, program, max_instructions=None,
-                     functional_cap=50_000_000, store=None, backend=None):
+                     functional_cap=50_000_000, backend=None):
         """Open a session straight from a program, acquiring its trace
         through the streaming path when the native engine is available:
         the simulator feeds columnar chunks into the sweep digest and
@@ -199,9 +198,8 @@ class IncrementalSession:
         constructor) bounds each timed sweep."""
         digest = acquire_trace_digest(program,
                                       max_instructions=functional_cap,
-                                      store=store, backend=backend)
-        return cls(digest.trace, max_instructions=max_instructions,
-                   store=store)
+                                      backend=backend)
+        return cls(digest.trace, max_instructions=max_instructions)
 
     def plan(self, config):
         """The reuse plan :meth:`run` would realize, without running."""
@@ -216,8 +214,7 @@ class IncrementalSession:
             self.last_plan = plan
             _account(plan)
         [result] = simulate_pipeline_sweep(
-            self.trace, [config], max_instructions=self.max_instructions,
-            store=self.store)
+            self.trace, [config], max_instructions=self.max_instructions)
         self.last_config = config
         return result
 

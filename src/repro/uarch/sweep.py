@@ -6,9 +6,9 @@ while digesting the trace only once:
 
 * **Trace digest** (:func:`trace_digest`) — config-independent tables:
   branch and memory event streams and per-line-size I-access event
-  positions.  Computed once per trace, cached on it, and (for
-  corpus-sized traces) persisted through the exec artifact store keyed
-  by trace content + program fingerprint.
+  positions.  Computed once per trace and cached on it for the life
+  of the process; rebuilding one costs less than a store round trip,
+  so it is never persisted.
 * **Cache outcome banks** — per-access L1I/L1D hit flags, the merged
   L2 miss-stream replay, and the per-event latency arrays the timing
   loop consumes, one bank per *distinct hierarchy* (configs sharing
@@ -38,16 +38,13 @@ corpus and every design change, and ``tests/test_timing_generative.py``
 across generated boundary configs.
 """
 
-import hashlib
-import os
 import time
 
 import numpy as np
 
 from repro.isa.columns import columns_for
 from repro.isa.instructions import IClass
-from repro.sim.trace import (TraceRef, _column_bytes,
-                             combine_column_digests, write_npz)
+from repro.sim.trace import TraceRef
 from repro.obs.journal import emit_event
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
@@ -60,13 +57,6 @@ from repro.uarch.pipeline import DECODE_DEPTH, PipelineResult
 
 _LOG = get_logger("repro.uarch.sweep")
 
-#: Bump when the digest layout or semantics change; combined with the
-#: store's ARTIFACT_SCHEMA_VERSION in every persisted key.
-BANK_SCHEMA_VERSION = 2
-
-#: Traces shorter than this are not worth a store round-trip.
-_PERSIST_MIN_INSTRUCTIONS = 10_000
-
 _LOAD = int(IClass.LOAD)
 _JUMP = int(IClass.JUMP)
 _IDIV = int(IClass.IDIV)
@@ -78,8 +68,7 @@ _FDIV = int(IClass.FDIV)
 # ----------------------------------------------------------------------
 _INT_STATS = (
     "grids", "configs", "instructions",
-    "digests_built", "digests_reused", "digests_loaded", "digests_saved",
-    "digests_streamed",
+    "digests_built", "digests_reused", "digests_streamed",
     "cache_banks_built", "cache_banks_reused",
     "pred_banks_built", "pred_banks_reused",
     "fallback_configs", "native_configs",
@@ -160,10 +149,6 @@ class _StaticTables:
         self.pool_list = columns.pool_list
         self.is_mem = columns.is_mem
 
-    def fingerprint(self):
-        """Content hash of everything the digest and banks depend on."""
-        return self.columns.fingerprint()
-
 
 def _static_tables(program):
     cached = getattr(program, "_sweep_static", None)
@@ -178,13 +163,13 @@ def _static_tables(program):
 # Trace digest
 # ----------------------------------------------------------------------
 class TraceDigest:
-    """Config-independent tables for one trace (built or restored once).
+    """Config-independent tables for one trace (built once).
 
     Also acts as the per-trace home for outcome banks and derived lists,
     so repeated sweeps over the same trace share everything.
     """
 
-    def __init__(self, trace, _restored=None, _prebuilt=None):
+    def __init__(self, trace, _prebuilt=None):
         self.trace = trace
         self.static = _static_tables(trace.program)
         self.n = len(trace)
@@ -198,10 +183,7 @@ class TraceDigest:
         self.cache_banks = {}  # hierarchy key -> _CacheBank
         self.pred_banks = {}   # predictor key -> _PredictorBank
         self._class_counts = {}
-        self._persisted = False
-        if _restored is not None:
-            self._restore(*_restored)
-        elif _prebuilt is not None:
+        if _prebuilt is not None:
             # Event streams accumulated chunk-by-chunk by the streaming
             # acquisition path.
             for name in ("b_pos", "b_pcs", "b_taken", "m_pos", "m_addrs"):
@@ -219,18 +201,6 @@ class TraceDigest:
                        else np.zeros(0, dtype=bool))
         self.m_pos = np.nonzero(memory_mask)[0]
         self.m_addrs = trace.addrs[self.m_pos].astype(np.int64)
-
-    def _restore(self, meta, arrays):
-        self.b_pos = arrays["b_pos"]
-        self.b_pcs = arrays["b_pcs"]
-        self.b_taken = arrays["b_taken"].astype(bool)
-        self.m_pos = arrays["m_pos"]
-        self.m_addrs = arrays["m_addrs"]
-        for shift in meta.get("shifts", []):
-            shift = int(shift)
-            self._iacc[shift] = (arrays[f"iacc_pos_{shift}"],
-                                 arrays[f"iacc_lines_{shift}"])
-        self._persisted = True
 
     # -- derived tables -------------------------------------------------
     def iacc(self, shift):
@@ -387,123 +357,17 @@ def _build_pred_bank(digest, config):
 
 
 # ----------------------------------------------------------------------
-# Artifact-store persistence for digests
+# Digest acquisition
 # ----------------------------------------------------------------------
-def _store_key(kind, digest, component=""):
-    from repro.exec.store import ARTIFACT_SCHEMA_VERSION
-    material = "\x1f".join([
-        f"schema={ARTIFACT_SCHEMA_VERSION}",
-        f"bank_schema={BANK_SCHEMA_VERSION}",
-        f"kind={kind}",
-        f"trace={digest.trace.content_digest()}",
-        f"program={digest.static.fingerprint()}",
-        f"component={component}",
-    ])
-    content = hashlib.sha256(material.encode()).hexdigest()[:24]
-    return f"sweep-{kind}-{content}"
-
-
-def _npz_writer(arrays):
-    # Uncompressed on purpose: digest saves sit on the cold-sweep
-    # critical path and zlib costs more than the disk it saves here.
-    def write(path):
-        write_npz(path, arrays, compress=False)
-    return write
-
-
-def _load_npz_entry(store, key, filename):
-    """(meta, materialized arrays) from the store, or None."""
-    loaded = store.load(key)
-    if loaded is None:
-        return None
-    meta, entry_dir = loaded
-    if meta.get("bank_schema") != BANK_SCHEMA_VERSION:
-        return None
-    try:
-        with np.load(os.path.join(entry_dir, filename)) as blob:
-            arrays = {name: blob[name] for name in blob.files}
-    except (OSError, ValueError, KeyError) as exc:
-        _LOG.warning("sweep.entry_corrupt", key=key, error=str(exc))
-        return None
-    return meta, arrays
-
-
-def _resolve_store(trace, store):
-    """The store digests persist through, or None to skip."""
-    if store is None:
-        if len(trace) < _PERSIST_MIN_INSTRUCTIONS:
-            return None
-        from repro.exec.store import default_store
-        store = default_store()
-    return store if store.enabled else None
-
-
-def digest_store_key(trace):
-    """Store key of ``trace``'s persisted digest entry.
-
-    Computable without building the digest (the trace content digest
-    and program fingerprint are memoized), which is what lets the
-    fleet's pin-while-leased layer shield a live run's warm digest from
-    LRU pruning.  Digests are the only sweep entries the store holds:
-    outcome banks are never stored.
-    """
-    probe = TraceDigest.__new__(TraceDigest)
-    probe.trace = trace
-    probe.static = _static_tables(trace.program)
-    return _store_key("digest", probe)
-
-
-def trace_digest(trace, store=None):
-    """The (cached) config-independent digest of one trace.
-
-    With a ``store``, a previously persisted digest for the same trace
-    content and program is restored instead of being re-derived, and
-    fresh digests are persisted by :func:`simulate_pipeline_sweep` once
-    their per-line-size tables have materialized.
-    """
+def trace_digest(trace):
+    """The (cached) config-independent digest of one trace."""
     digest = getattr(trace, "_sweep_digest", None)
     if digest is not None:
         _note("digests_reused")
         return digest
-    if store is not None:
-        probe = TraceDigest.__new__(TraceDigest)
-        probe.trace = trace
-        probe.static = _static_tables(trace.program)
-        restored = _load_npz_entry(store, _store_key("digest", probe),
-                                   "digest.npz")
-        if restored is not None:
-            digest = TraceDigest(trace, _restored=restored)
-            _note("digests_loaded")
-    if digest is None:
-        digest = TraceDigest(trace)
-        _note("digests_built")
-    trace._sweep_digest = digest
+    digest = trace._sweep_digest = TraceDigest(trace)
+    _note("digests_built")
     return digest
-
-
-def _persist_digest(digest, store):
-    if digest._persisted:
-        return
-    digest._persisted = True
-    key = _store_key("digest", digest)
-    if store.has(key):
-        return
-    arrays = {
-        "b_pos": digest.b_pos, "b_pcs": digest.b_pcs,
-        "b_taken": digest.b_taken, "m_pos": digest.m_pos,
-        "m_addrs": digest.m_addrs,
-    }
-    for shift, (positions, lines) in digest._iacc.items():
-        arrays[f"iacc_pos_{shift}"] = positions
-        arrays[f"iacc_lines_{shift}"] = lines
-    meta = {
-        "kind": "sweep-digest",
-        "bank_schema": BANK_SCHEMA_VERSION,
-        "instructions": digest.n,
-        "shifts": sorted(digest._iacc),
-    }
-    store.save(key, meta, {"digest.npz": _npz_writer(arrays)})
-    _note("digests_saved")
 
 
 class StreamingDigestBuilder:
@@ -511,10 +375,9 @@ class StreamingDigestBuilder:
 
     A sink for :func:`repro.sim.native.stream_trace`: each ``feed``
     folds one chunk into the digest's event streams (branch positions
-    and outcomes, memory positions and addresses) and the per-column
-    content hashes, keeping only the ``pcs`` column whole.  ``finish``
-    yields a digest bound to a :class:`~repro.sim.trace.TraceRef` whose
-    content digest — and therefore every store key — matches the
+    and outcomes, memory positions and addresses), keeping only the
+    ``pcs`` column whole.  ``finish`` yields a digest bound to a
+    :class:`~repro.sim.trace.TraceRef` whose tables equal the
     materialized trace's exactly, without a ``DynamicTrace`` ever
     existing.
     """
@@ -526,11 +389,8 @@ class StreamingDigestBuilder:
         self._b_pos, self._b_taken = [], []
         self._m_pos, self._m_addrs = [], []
         self._offset = 0
-        self._hashers = [hashlib.sha256() for _ in range(3)]
 
     def feed(self, pcs, addrs, taken):
-        for hasher, column in zip(self._hashers, (pcs, addrs, taken)):
-            hasher.update(_column_bytes(column))
         pcs64 = pcs.astype(np.int64)
         b_local = np.nonzero(taken >= 0)[0]
         self._b_pos.append(b_local + self._offset)
@@ -549,9 +409,7 @@ class StreamingDigestBuilder:
     def finish(self):
         """The completed (TraceRef-bound) digest, cached on the ref."""
         pcs = self._concat(self._pcs_parts, np.int64)
-        content = combine_column_digests(
-            *(hasher.hexdigest() for hasher in self._hashers))
-        ref = TraceRef(self.program, pcs, content)
+        ref = TraceRef(self.program, pcs)
         b_pos = self._concat(self._b_pos, np.int64)
         prebuilt = {
             "b_pos": b_pos,
@@ -567,7 +425,7 @@ class StreamingDigestBuilder:
 
 
 def acquire_trace_digest(program, max_instructions=50_000_000,
-                         store=None, backend=None):
+                         backend=None):
     """Acquire a sweep-ready trace digest for ``program``.
 
     The default acquisition path for fleet workers and incremental
@@ -576,7 +434,7 @@ def acquire_trace_digest(program, max_instructions=50_000_000,
     :class:`StreamingDigestBuilder` and the full trace never exists;
     otherwise the trace is materialized through the resolved backend
     and digested conventionally.  Either way the result is
-    interchangeable — identical content digest, store keys, and tables.
+    interchangeable — identical tables and timing results.
     """
     from repro.sim import native as sim_native
     from repro.sim.functional import FunctionalSimulator, run_program
@@ -591,7 +449,7 @@ def acquire_trace_digest(program, max_instructions=50_000_000,
         return builder.finish()
     trace = run_program(program, max_instructions=max_instructions,
                         trace=True, backend=resolved)
-    return trace_digest(trace, store)
+    return trace_digest(trace)
 
 
 def _cache_bank_for(digest, config):
@@ -627,7 +485,7 @@ class _PredictorSpec:
         self.predictor_kwargs = predictor_kwargs
 
 
-def simulate_predictor_sweep(trace, specs, store=None):
+def simulate_predictor_sweep(trace, specs):
     """Misprediction stats for many predictors from one branch stream.
 
     ``specs`` is an iterable of predictor kinds (``"gap"``) or
@@ -637,14 +495,12 @@ def simulate_predictor_sweep(trace, specs, store=None):
     but the per-branch outcome flags come from the sweep engine's
     predictor outcome banks, so they are derived once per (trace,
     predictor) across the whole process: every later sweep or
-    experiment on the same trace object reuses them.  ``store`` is
-    only read, for a persisted trace digest.
+    experiment on the same trace object reuses them.
     """
     specs = [(spec, {}) if isinstance(spec, str) else (spec[0],
                                                       dict(spec[1]))
              for spec in specs]
-    store = _resolve_store(trace, store)
-    digest = trace_digest(trace, store)
+    digest = trace_digest(trace)
     lookups = len(digest.b_pos)
     results = []
     for kind, kwargs in specs:
@@ -925,23 +781,19 @@ def _run_config(digest, config, cache_bank, pred_bank, total,
     return result
 
 
-def simulate_pipeline_sweep(trace, configs, max_instructions=None,
-                            store=None):
+def simulate_pipeline_sweep(trace, configs, max_instructions=None):
     """Time one trace against many configs; one digestion, shared banks.
 
     Returns one :class:`PipelineResult` per config, in config order,
     each field-for-field identical to
-    ``PipelineModel(config).run(trace, max_instructions)``.  ``store``
-    overrides the artifact store used for digest persistence
-    (``None`` means the default store for corpus-sized traces).
+    ``PipelineModel(config).run(trace, max_instructions)``.
     """
     configs = list(configs)
     if not configs:
         return []
     grid_started = time.perf_counter()
     with span("uarch.sweep", configs=len(configs)):
-        store = _resolve_store(trace, store)
-        digest = trace_digest(trace, store)
+        digest = trace_digest(trace)
         total = len(trace)
         if max_instructions is not None and total > max_instructions:
             total = max_instructions
@@ -955,8 +807,6 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
             key = _predictor_key(config)
             if key not in predictor_banks:
                 predictor_banks[key] = _pred_bank_for(digest, config)
-        if store is not None:
-            _persist_digest(digest, store)
         results = []
         for index, config in enumerate(configs):
             # Per-config scheduling keeps run()'s span name, so grid

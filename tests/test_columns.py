@@ -74,5 +74,5 @@ class TestBuildOnce:
         lint_program(program)
         simulate_pipeline(trace, BASE_CONFIG, max_instructions=20_000)
         simulate_pipeline_sweep(trace, [BASE_CONFIG],
-                                max_instructions=20_000, store=None)
+                                max_instructions=20_000)
         assert BUILD_COUNTS[program.name] == before + 1

@@ -1,4 +1,10 @@
-"""Persistent artifact store: round-trip determinism, keying, eviction."""
+"""Persistent artifact store: round-trip determinism, keying, eviction.
+
+An entry holds the profile, the clone source and the meta; a hit
+re-acquires both traces, so the round trip must equal a cold build
+array for array on whichever functional backend is active (CI also runs
+this file with ``REPRO_NATIVE=off``).
+"""
 
 import json
 import os
@@ -56,6 +62,12 @@ class TestKeying:
 
 
 class TestRoundTrip:
+    def test_entry_holds_no_traces(self, store):
+        build(store)
+        (key, _, _), = store.entries()
+        assert set(os.listdir(store.entry_dir(key))) \
+            == {META_FILENAME, "profile.json", "clone.s"}
+
     def test_fresh_vs_cached_identical(self, store):
         cold = build(store)
         assert store.stats()["writes"] == 1
@@ -128,8 +140,20 @@ class TestValidation:
     def test_missing_file_is_miss(self, store):
         build(store)
         (key, _, _), = store.entries()
-        os.remove(os.path.join(store.entry_dir(key), "trace.npz"))
+        os.remove(os.path.join(store.entry_dir(key), "clone.s"))
         assert store.load(key) is None
+
+    def test_meta_without_file_list_is_miss(self, store):
+        build(store)
+        (key, _, _), = store.entries()
+        meta_path = os.path.join(store.entry_dir(key), META_FILENAME)
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        del meta["files"]
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        assert store.load(key) is None
+        assert store.entries() == []
 
 
 class TestEviction:

@@ -96,6 +96,18 @@ class TestRun:
         with pytest.raises(FleetError, match="incomplete"):
             collect_matrix(run_dir)
 
+    def test_real_subject_run_stores_nothing(self, tmp_path, monkeypatch):
+        from repro.exec import default_store, reset_default_store
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        reset_default_store()
+        try:
+            run_fleet(str(tmp_path / "run"), PAIR)
+            assert default_store().entries() == []
+            assert not (cache_dir / "pins").exists()
+        finally:
+            reset_default_store()
+
     def test_journal_lands_in_run_dir(self, tmp_path):
         run_dir = str(tmp_path / "run")
         run_fleet(run_dir, PAIR)

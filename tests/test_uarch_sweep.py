@@ -10,9 +10,8 @@ the whole contract:
 * identical results with and without telemetry, under a cap that lands
   mid basic-block, and with no cap at all;
 * traces that start mid-block, on both timing loops;
-* digest persistence round-trips through the artifact store, including
-  corrupt-entry tolerance, while outcome banks are rebuilt in memory
-  and never stored;
+* a sweep writes nothing to the artifact store: digests and outcome
+  banks are rebuilt in memory;
 * serial vs ``--jobs`` grid studies produce identical JSON;
 * the predictor outcome banks match the scalar predictor
   specification kind by kind.
@@ -22,12 +21,11 @@ It doubles as the tier-1 CI gate for sweep-engine regressions.
 
 import dataclasses
 import json
-import os
 
 import pytest
 
 from repro.evaluation import design_change_study
-from repro.exec.store import ArtifactStore
+from repro.exec.store import default_store, reset_default_store
 from repro.obs.metrics import REGISTRY
 from repro.obs.runinfo import RunManifest, validate_manifest
 from repro.sim import FunctionalSimulator
@@ -91,12 +89,10 @@ def result_fields(result):
     return data
 
 
-def assert_sweep_equivalent(trace, configs, max_instructions=CAP,
-                            store=None):
+def assert_sweep_equivalent(trace, configs, max_instructions=CAP):
     """Sweep the grid and compare each config against the reference."""
     swept = simulate_pipeline_sweep(trace, configs,
-                                    max_instructions=max_instructions,
-                                    store=store)
+                                    max_instructions=max_instructions)
     assert len(swept) == len(configs)
     for config, result in zip(configs, swept):
         reference = simulate_pipeline(trace, config,
@@ -207,103 +203,27 @@ class TestFallback:
 
 
 # ----------------------------------------------------------------------
-# Digest persistence (outcome banks are never stored)
+# Nothing persists: digests and outcome banks live in memory only
 # ----------------------------------------------------------------------
 class TestPersistence:
-    def _forget(self, trace):
-        """Drop in-memory memoization so the store is the only cache."""
-        for holder, attr in ((trace, "_sweep_digest"),
-                             (trace.program, "_sweep_static")):
-            if hasattr(holder, attr):
-                delattr(holder, attr)
-
-    def test_round_trip(self, loop_nest_trace, tmp_path, python_engine):
-        store = ArtifactStore(root=str(tmp_path), enabled=True)
-        self._forget(loop_nest_trace)
-        reset_sweep_stats()
-        cold = simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
-                                       max_instructions=CAP, store=store)
-        stats = sweep_stats_snapshot()
-        assert stats["digests_saved"] == 1
-
-        self._forget(loop_nest_trace)
-        reset_sweep_stats()
-        warm = simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
-                                       max_instructions=CAP, store=store)
-        stats = sweep_stats_snapshot()
-        assert stats["digests_loaded"] == 1
-        assert stats["digests_built"] == 0
-        # Banks are derived state: rebuilt from the restored digest.
-        assert stats["cache_banks_built"] >= 1
-        assert stats["pred_banks_built"] >= 1
-        assert [result_fields(result) for result in cold] \
-            == [result_fields(result) for result in warm]
-
-    def test_digest_store_key_predicts_persisted_entry(
-            self, loop_nest_trace, tmp_path, python_engine):
-        """The fleet's pin helper names exactly the digest key a
-        persisted sweep creates, without building the digest."""
-        from repro.uarch.sweep import digest_store_key
-        store = ArtifactStore(root=str(tmp_path), enabled=True)
-        self._forget(loop_nest_trace)
-        predicted = digest_store_key(loop_nest_trace)
-        assert predicted.startswith("sweep-digest-")
-        simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
-                                max_instructions=CAP, store=store)
-        persisted = {key for key, _, _ in store.entries()}
-        assert predicted in persisted
-
-    def test_stored_sweep_writes_only_digests(
-            self, loop_nest_trace, tmp_path, engine):
-        self._forget(loop_nest_trace)
-        cold = simulate_pipeline_sweep(loop_nest_trace, GRID,
-                                       max_instructions=CAP,
-                                       store=ArtifactStore(enabled=False))
-        store = ArtifactStore(root=str(tmp_path), enabled=True)
-        for _ in range(2):  # a cold store, then a warm one
-            self._forget(loop_nest_trace)
-            stored = simulate_pipeline_sweep(loop_nest_trace, GRID,
-                                             max_instructions=CAP,
-                                             store=store)
-            assert [result_fields(result) for result in stored] \
-                == [result_fields(result) for result in cold]
-        kinds = {key.rsplit("-", 1)[0] for key, _, _ in store.entries()}
-        assert kinds == {"sweep-digest"}
-
-    def test_corrupt_entries_are_rebuilt(self, loop_nest_trace, tmp_path,
-                                         python_engine):
-        store = ArtifactStore(root=str(tmp_path), enabled=True)
-        self._forget(loop_nest_trace)
-        cold = simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
-                                       max_instructions=CAP, store=store)
-        # Truncate every persisted payload to garbage.
-        clobbered = 0
-        for key, _, _ in store.entries():
-            entry = store.entry_dir(key)
-            for filename in os.listdir(entry):
-                if filename.endswith(".npz"):
-                    with open(os.path.join(entry, filename), "wb") as fh:
-                        fh.write(b"not a payload")
-                    clobbered += 1
-        assert clobbered > 0
-
-        self._forget(loop_nest_trace)
-        reset_sweep_stats()
-        recovered = simulate_pipeline_sweep(
-            loop_nest_trace, GRID[:4], max_instructions=CAP, store=store)
-        stats = sweep_stats_snapshot()
-        assert stats["digests_built"] == 1
-        assert [result_fields(result) for result in cold] \
-            == [result_fields(result) for result in recovered]
-
-    def test_disabled_store_is_skipped(self, loop_nest_trace, tmp_path):
-        store = ArtifactStore(root=str(tmp_path), enabled=False)
-        self._forget(loop_nest_trace)
-        reset_sweep_stats()
-        assert_sweep_equivalent(loop_nest_trace, GRID[:2], store=store)
-        stats = sweep_stats_snapshot()
-        assert stats["digests_saved"] == 0
-        assert store.entries() == []
+    def test_sweep_writes_nothing_to_the_store(
+            self, loop_nest_trace, tmp_path, monkeypatch, engine):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        reset_default_store()
+        try:
+            store = default_store()
+            assert store.enabled
+            for holder, attr in ((loop_nest_trace, "_sweep_digest"),
+                                 (loop_nest_trace.program,
+                                  "_sweep_static")):
+                if hasattr(holder, attr):
+                    delattr(holder, attr)
+            assert_sweep_equivalent(loop_nest_trace, GRID[:4])
+            assert store.stats()["writes"] == 0
+            assert store.entries() == []
+        finally:
+            reset_default_store()
 
 
 # ----------------------------------------------------------------------
