@@ -6,10 +6,12 @@ cells over a process pool: every task re-runs its program on the
 resolved functional backend and runs a one-config sweep, so digests
 and outcome banks are rebuilt per *cell*.  The fleet
 path (``repro.fleet``) shards the same cells by trace with reuse-
-affinity ordering and routes consecutive cells through one
-:class:`~repro.uarch.incremental.IncrementalSession` per trace — the
-acceptance bar is a ≥2x geomean wall-clock win at equal worker count,
-from affinity + incremental routing, not from more processes.
+affinity ordering and leases them in units (the cells of one trace and
+one cache and predictor bank pair); it times each unit with one sweep
+call through one :class:`~repro.uarch.incremental.IncrementalSession`
+per trace — the acceptance bar is a ≥2x geomean wall-clock win at
+equal worker count, from affinity + incremental routing, not from more
+processes.
 
 Three matrix variants stress the three artifact classes the scheduler
 keys on (pipeline knobs / cache hierarchies / predictors); each variant

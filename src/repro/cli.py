@@ -823,13 +823,19 @@ def cmd_fleet(args, ctx):
             raise CliError(EXIT_BAD_TARGET, str(exc)) from exc
         ctx.payload.update(status)
         ctx.headline.update(cells=status["cells"],
-                            completed=status["completed"])
+                            completed=status["completed"],
+                            failed=status["failed"])
         ctx.emit(f"recipe {status['recipe']} "
                  f"({status['recipe_digest']}) in {status['run_dir']}")
         ctx.emit(f"  {status['completed']}/{status['cells']} cells "
                  f"complete, {status['leased']} leased, "
                  f"{status['pending']} pending"
+                 + (f", {status['failed']} failed" if status["failed"]
+                    else "")
                  + (", matrix.json exported" if status["matrix"] else ""))
+        for failure in status["failures"]:
+            ctx.emit(f"  failed {failure['cell_id']} ({failure['kernel']}, "
+                     f"{failure['config']}): {failure['error']}")
         for worker in status["workers"]:
             ctx.emit(f"  worker {worker.get('worker')}: "
                      f"{worker.get('executed')} executed "
@@ -859,6 +865,7 @@ def cmd_fleet(args, ctx):
     ctx.headline.update(cells=summary["cells"],
                         completed=summary["completed"],
                         executed=summary["executed"],
+                        failed=summary["failed"],
                         workers=summary["workers"])
     ctx.emit(f"recipe {summary['recipe']} "
              f"({summary['recipe_digest']}): "
@@ -873,8 +880,14 @@ def cmd_fleet(args, ctx):
     if summary["complete"]:
         ctx.emit(f"matrix: {os.path.join(run_dir, 'matrix.json')}")
         return EXIT_OK
-    ctx.emit(f"incomplete ({summary['dead_workers']} worker(s) died); "
-             f"finish with: repro fleet resume {run_dir}")
+    causes = []
+    if summary["dead_workers"]:
+        causes.append(f"{summary['dead_workers']} worker(s) died")
+    if summary["failed"]:
+        causes.append(f"{summary['failed']} cell(s) failed, listed by "
+                      f"`repro fleet status {run_dir}`")
+    ctx.emit("incomplete" + (f" ({'; '.join(causes)})" if causes else "")
+             + f"; finish with: repro fleet resume {run_dir}")
     return EXIT_ERROR
 
 
@@ -1041,11 +1054,12 @@ def build_parser():
     p.add_argument("--workers", type=int, default=1,
                    help="worker process count (default 1)")
     p.add_argument("--lease-ttl", type=float, default=None,
-                   help="seconds before an unrefreshed cell lease is "
+                   help="seconds before an unrefreshed unit lease is "
                         "considered abandoned")
     p.add_argument("--chaos-kill", default=None, metavar="W:N",
                    help="fault injection for tests/CI: worker W SIGKILLs "
-                        "itself mid-cell after executing N cells")
+                        "itself mid-unit in the unit that would take it "
+                        "past N executed cells")
     return parser
 
 

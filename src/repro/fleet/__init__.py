@@ -5,15 +5,16 @@ resumable system for large kernel × config × seed matrices:
 
 * :mod:`repro.fleet.recipe` — declarative experiment recipes expanding
   to deterministic cell lists with stable content-hashed cell ids;
-* :mod:`repro.fleet.queue` — file-backed work-stealing job queue
+* :mod:`repro.fleet.queue` — file-backed work-stealing unit queue
   (atomic lockfile leases, heartbeats, dead-pid/TTL reclaim) shared by
   any number of worker processes or hosts;
 * :mod:`repro.fleet.scheduler` — reuse-affinity sharding that keeps
   cells sharing a trace digest or outcome bank on one worker
-  back-to-back;
-* :mod:`repro.fleet.worker` — the worker loop routing consecutive cells
-  through :class:`~repro.uarch.incremental.IncrementalSession` instead
-  of cold sweeps;
+  back-to-back, split into lease *units* (one trace, one cache and
+  predictor bank pair);
+* :mod:`repro.fleet.worker` — the worker loop timing each unit with one
+  :meth:`~repro.uarch.incremental.IncrementalSession.run_grid` sweep,
+  and recording a unit that raises as failed instead of dying;
 * :mod:`repro.fleet.run` — run/resume/status orchestration with a
   byte-identical canonical matrix export.
 
@@ -42,8 +43,10 @@ from repro.fleet.run import (
     run_fleet,
 )
 from repro.fleet.scheduler import (
+    Unit,
     affinity_key,
     build_shards,
+    build_units,
     order_cells,
     steal_candidates,
 )
@@ -59,8 +62,10 @@ __all__ = [
     "RECIPE_SCHEMA_VERSION",
     "Recipe",
     "RecipeError",
+    "Unit",
     "affinity_key",
     "build_shards",
+    "build_units",
     "cell_metrics",
     "collect_matrix",
     "export_matrix",

@@ -3,22 +3,32 @@
 A run directory is the whole state of one matrix execution::
 
     <run>/recipe.json    canonical recipe (digest-checked on resume)
-    <run>/leases/        live cell claims (FleetQueue)
-    <run>/results/       published per-cell results
+    <run>/cells.json     the expanded cell list
+    <run>/leases/        live unit claims (FleetQueue)
+    <run>/results/       one file per completed unit: its cells' metrics
+    <run>/failed/        one file per failed unit: the exception
     <run>/workers/       per-worker summaries
     <run>/matrix.json    canonical matrix, written when complete
     <run>/journal-*.jsonl  run journal (claims, progress, spans)
 
-:func:`run_fleet` expands the recipe, reclaims abandoned leases, and
-fans the shards out to worker processes.  Workers re-acquire every
+Work is leased, timed and published per *unit* — the cells that share
+one trace and one cache/predictor bank pair
+(:func:`repro.fleet.scheduler.build_units`) — but every count reported
+here (``completed``, ``executed``, ``skipped``, ``failed``,
+``pending``) is in cells.
+
+:func:`run_fleet` expands the recipe once, reclaims abandoned leases,
+and fans the shards out to worker processes.  Workers re-acquire every
 trace they time; the artifact store holds only clone cells' profiles
 and clone sources, so a store eviction mid-run costs at most one
 re-synthesis.  Invoking it again on the same directory *is* the
-resume path: completed cells are skipped byte-for-byte (their result
-files are never rewritten), only pending cells execute.  When the last
-cell lands the canonical matrix — deterministic metrics only, sorted
-keys — is exported, so an interrupted-then-resumed run produces a
-``matrix.json`` byte-identical to an uninterrupted one.
+resume path: completed units are skipped byte-for-byte (their result
+files are never rewritten), failed units are retried, only pending
+units execute.  When the last cell lands the canonical matrix —
+deterministic metrics only, sorted keys — is exported, so an
+interrupted-then-resumed run produces a ``matrix.json`` byte-identical
+to an uninterrupted one.  While any cell has failed no matrix is
+written.
 """
 
 import json
@@ -34,9 +44,11 @@ from repro.fleet.recipe import (
     recipe_from_dict,
     save_recipe,
 )
+from repro.fleet.scheduler import build_units, count_cells, order_cells
 from repro.fleet.worker import (
     CELLS_FILENAME,
     RECIPE_FILENAME,
+    RESULT_SCHEMA_VERSION,
     WORKERS_DIR,
     FleetWorker,
     parse_chaos,
@@ -86,9 +98,33 @@ def init_run(run_dir, recipe):
                 {"schema": MATRIX_SCHEMA_VERSION,
                  "recipe_digest": recipe.digest(),
                  "cells": [cell.to_dict() for cell in cells]},
-                indent=2, sort_keys=True) + "\n")
+                sort_keys=True) + "\n")
     FleetQueue(run_dir).ensure_dirs()
     return cells
+
+
+def run_units(cells):
+    """The run's units in affinity order (the same units every worker
+    builds from its shard, whatever the shard count)."""
+    return build_units(order_cells(cells))
+
+
+def _check_result_schema(run_dir, queue, units):
+    """Refuse a run directory holding results of another layout.
+
+    Schema-1 directories hold one result file per cell; their names are
+    no unit ids, so they would be neither read nor replaced.
+    """
+    stale = sorted(queue.completed_ids() - {unit.unit_id for unit in units})
+    if not stale:
+        return
+    payload = queue.read_result(stale[0]) or {}
+    schema = payload.get("schema", "unknown")
+    raise FleetError(
+        f"run directory {run_dir} holds {len(stale)} result file(s) in "
+        f"result schema {schema} (e.g. results/{stale[0]}.json); this "
+        f"version reads only schema {RESULT_SCHEMA_VERSION} (one file "
+        f"per unit). Start a fresh run directory for this recipe.")
 
 
 def load_run_recipe(run_dir):
@@ -118,10 +154,12 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
     elif not isinstance(recipe, Recipe):
         raise RecipeError(f"not a recipe: {recipe!r}")
     cells = init_run(run_dir, recipe)
+    units = run_units(cells)
     workers = max(1, int(workers))
     chaos = parse_chaos(chaos)
     lease_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
     queue = FleetQueue(run_dir, **lease_kwargs)
+    _check_result_schema(run_dir, queue, units)
 
     own_journal = active_journal() is None
     if own_journal:
@@ -131,12 +169,16 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         configure_journal(run_dir)
     started = time.perf_counter()
     try:
+        # A resume retries every unit that failed before.
+        retried = count_cells(units, queue.failed_ids())
+        queue.clear_failures()
         reclaimed = queue.reclaim(worker="orchestrator")
-        completed_before = len(queue.completed_ids())
+        completed_before = count_cells(units, queue.completed_ids())
         emit_event("fleet", event="run_begin", recipe=recipe.name,
                    recipe_digest=recipe.digest(), cells=len(cells),
-                   completed=completed_before, workers=workers,
-                   reclaimed=len(reclaimed), resumed=completed_before > 0)
+                   units=len(units), completed=completed_before,
+                   workers=workers, reclaimed=len(reclaimed),
+                   retried=retried, resumed=completed_before > 0)
         emit_event("progress", done=completed_before, total=len(cells),
                    unit="cells", label=recipe.name)
         summaries = []
@@ -144,18 +186,20 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         if completed_before < len(cells):
             if workers == 1 and chaos is None:
                 summaries.append(FleetWorker(
-                    run_dir, 0, 1, lease_ttl=lease_ttl).run())
+                    run_dir, 0, 1, lease_ttl=lease_ttl,
+                    cells=cells).run())
             else:
                 dead_workers = _spawn_workers(run_dir, workers,
-                                              lease_ttl, chaos)
+                                              lease_ttl, chaos, cells)
         # A chaos-killed (or crashed) worker strands its in-flight
         # lease; siblings usually reclaim it live, but if *they* exited
         # first the run ends incomplete — exactly what resume is for.
         queue.reclaim(worker="orchestrator")
-        completed = len(queue.completed_ids())
+        completed = count_cells(units, queue.completed_ids())
+        failed = count_cells(units, queue.failed_ids())
         complete = completed >= len(cells)
         if complete:
-            export_matrix(run_dir)
+            export_matrix(run_dir, cells)
         summary = {
             "run_dir": run_dir,
             "recipe": recipe.name,
@@ -164,6 +208,7 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
             "completed": completed,
             "skipped": completed_before,
             "executed": completed - completed_before,
+            "failed": failed,
             "workers": workers,
             "dead_workers": dead_workers,
             "complete": complete,
@@ -179,7 +224,7 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
             configure_journal(None)
 
 
-def _spawn_workers(run_dir, workers, lease_ttl, chaos):
+def _spawn_workers(run_dir, workers, lease_ttl, chaos, cells):
     """Fan out worker processes; returns how many died abnormally.
 
     Plain ``multiprocessing.Process`` rather than a pool: a SIGKILL-ed
@@ -190,7 +235,7 @@ def _spawn_workers(run_dir, workers, lease_ttl, chaos):
     for index in range(workers):
         process = multiprocessing.Process(
             target=worker_entry,
-            args=(run_dir, index, workers, lease_ttl, chaos),
+            args=(run_dir, index, workers, lease_ttl, chaos, cells),
             name=f"fleet-w{index}")
         process.start()
         processes.append(process)
@@ -208,12 +253,25 @@ def _spawn_workers(run_dir, workers, lease_ttl, chaos):
 # Status / export
 # ----------------------------------------------------------------------
 def fleet_status(run_dir):
-    """Queue/progress snapshot of a run directory (read-only)."""
+    """Queue/progress snapshot of a run directory (read-only), in
+    cells; ``failures`` lists every failed cell with its cause."""
     recipe = load_run_recipe(run_dir)
     cells = recipe.expand()
+    units = run_units(cells)
     queue = FleetQueue(run_dir)
+    _check_result_schema(run_dir, queue, units)
     completed = queue.completed_ids()
-    leased = queue.leased_ids() - completed
+    failed = queue.failed_ids()
+    leased = queue.leased_ids() - completed - failed
+    failures = []
+    for unit in units:
+        if unit.unit_id not in failed:
+            continue
+        error = (queue.read_failure(unit.unit_id) or {}).get("error") or {}
+        cause = f"{error.get('type', 'unknown')}: {error.get('message', '')}"
+        failures.extend({"cell_id": cell.cell_id, "kernel": cell.kernel,
+                         "config": cell.config.name, "unit": unit.unit_id,
+                         "error": cause} for cell in unit.cells)
     workers = []
     workers_dir = os.path.join(run_dir, WORKERS_DIR)
     if os.path.isdir(workers_dir):
@@ -225,46 +283,49 @@ def fleet_status(run_dir):
                     workers.append(json.load(handle))
             except (OSError, ValueError):
                 continue
+    n_completed = count_cells(units, completed)
     return {
         "run_dir": run_dir,
         "recipe": recipe.name,
         "recipe_digest": recipe.digest(),
         "cells": len(cells),
-        "completed": len(completed),
-        "leased": len(leased),
-        "pending": len(cells) - len(completed),
-        "complete": len(completed) >= len(cells),
+        "completed": n_completed,
+        "failed": len(failures),
+        "leased": count_cells(units, leased),
+        "pending": len(cells) - n_completed - len(failures),
+        "complete": n_completed >= len(cells),
         "matrix": os.path.exists(os.path.join(run_dir, MATRIX_FILENAME)),
+        "failures": failures,
         "workers": workers,
     }
 
 
-def collect_matrix(run_dir):
+def collect_matrix(run_dir, cells=None):
     """The canonical matrix dict (raises FleetError if incomplete).
 
     Strictly deterministic content: recipe identity plus each cell's
     id/coordinates and :func:`~repro.fleet.worker.cell_metrics` block,
     in expansion order.  Worker attribution, timestamps, and wall times
-    stay in the per-cell result files and are excluded here.
+    stay in the per-unit result files and are excluded here.  ``cells``
+    is the recipe's expansion when the caller already has it.
     """
     recipe = load_run_recipe(run_dir)
-    cells = recipe.expand()
+    if cells is None:
+        cells = recipe.expand()
     queue = FleetQueue(run_dir)
-    rows = []
-    missing = []
-    for cell in cells:
-        payload = queue.read_result(cell.cell_id)
+    metrics = {}
+    for unit in run_units(cells):
+        payload = queue.read_result(unit.unit_id)
         if payload is None:
-            missing.append(cell.cell_id)
             continue
-        rows.append({
-            "cell_id": cell.cell_id,
-            "kernel": cell.kernel,
-            "subject": cell.subject,
-            "seed": cell.seed,
-            "config": cell.config.name,
-            "metrics": payload["metrics"],
-        })
+        if payload.get("schema") != RESULT_SCHEMA_VERSION:
+            raise FleetError(
+                f"result {queue.result_path(unit.unit_id)} has result "
+                f"schema {payload.get('schema')}, expected "
+                f"{RESULT_SCHEMA_VERSION}")
+        for entry in payload["cells"]:
+            metrics[entry["cell"]] = entry["metrics"]
+    missing = [cell.cell_id for cell in cells if cell.cell_id not in metrics]
     if missing:
         raise FleetError(
             f"matrix incomplete: {len(missing)} of {len(cells)} cells "
@@ -273,19 +334,26 @@ def collect_matrix(run_dir):
         "schema": MATRIX_SCHEMA_VERSION,
         "recipe": recipe.name,
         "recipe_digest": recipe.digest(),
-        "cells": rows,
+        "cells": [{
+            "cell_id": cell.cell_id,
+            "kernel": cell.kernel,
+            "subject": cell.subject,
+            "seed": cell.seed,
+            "config": cell.config.name,
+            "metrics": metrics[cell.cell_id],
+        } for cell in cells],
     }
 
 
-def matrix_bytes(run_dir):
+def matrix_bytes(run_dir, cells=None):
     """The canonical matrix serialization (the byte-identity contract)."""
-    matrix = collect_matrix(run_dir)
+    matrix = collect_matrix(run_dir, cells)
     return (json.dumps(matrix, indent=2, sort_keys=True) + "\n").encode()
 
 
-def export_matrix(run_dir):
+def export_matrix(run_dir, cells=None):
     """Write ``matrix.json`` atomically; returns its path."""
-    payload = matrix_bytes(run_dir)
+    payload = matrix_bytes(run_dir, cells)
     path = os.path.join(run_dir, MATRIX_FILENAME)
     staging = path + f".tmp-{os.getpid()}"
     with open(staging, "wb") as handle:

@@ -18,14 +18,22 @@ So the fleet orders and shards on exactly those keys:
 * groups are packed onto shards largest-first onto the currently
   lightest shard (LPT), so shard loads balance without breaking
   affinity;
-* a worker that drains its own shard steals from the *tail* of the
-  currently heaviest remaining shard — the victim works its shard
-  head-to-tail, so tail cells are the ones it would reach last and
+* a shard is leased and timed in *units* (:func:`build_units`): the
+  cells sharing one trace and one (hierarchy key, predictor key) pair,
+  which one ``simulate_pipeline_sweep`` call times against a single
+  cache bank and a single predictor bank;
+* a worker that drains its own shard steals units from the *tail* of
+  the currently heaviest remaining shard — the victim works its shard
+  head-to-tail, so tail units are the ones it would reach last and
   stealing them collides least with the victim's warm state.
 
 Everything here is deterministic: same cells + same shard count =>
-same shards, same order.
+same shards, same order.  Unit ids depend only on their member cells,
+so they are the same for every shard count.
 """
+
+import dataclasses
+import hashlib
 
 from repro.uarch.sweep import _hierarchy_key, _predictor_key
 
@@ -83,19 +91,57 @@ def build_shards(cells, n_shards):
     return shards
 
 
-def steal_candidates(shards, own_index, remaining):
-    """Cells to try stealing, best-victim-first, tail-first.
+@dataclasses.dataclass(frozen=True)
+class Unit:
+    """The lease and sweep granule: cells sharing one trace and one
+    (hierarchy, predictor) bank pair, in affinity order."""
 
-    ``remaining`` is a predicate (cell -> bool) selecting cells still
+    unit_id: str
+    cells: tuple
+
+
+def _unit_id(cells):
+    """``<kernel>-s<seed>-u<hash of the member cell ids>``."""
+    material = "\n".join(cell.cell_id for cell in cells)
+    digest = hashlib.sha256(material.encode()).hexdigest()[:12]
+    prefix = cells[0].cell_id.rsplit("-", 1)[0]
+    return f"{prefix}-u{digest}"
+
+
+def build_units(shard):
+    """Split a shard into units, in shard order.
+
+    A unit holds every cell of the shard with its trace key, hierarchy
+    key and predictor key; ``build_shards`` keeps those cells next to
+    each other, so units come out in the shard's own order.
+    """
+    groups = {}
+    for cell in shard:
+        key = (cell.trace_key, _hierarchy_key(cell.config),
+               _predictor_key(cell.config))
+        groups.setdefault(key, []).append(cell)
+    return [Unit(_unit_id(cells), tuple(cells)) for cells in groups.values()]
+
+
+def count_cells(units, unit_ids):
+    """How many cells the units named in ``unit_ids`` hold."""
+    return sum(len(unit.cells) for unit in units if unit.unit_id in unit_ids)
+
+
+def steal_candidates(shards, own_index, remaining):
+    """Items (units or cells) to try stealing, best-victim-first,
+    tail-first.
+
+    ``remaining`` is a predicate (item -> bool) selecting items still
     worth claiming (no published result).  Victim shards are visited
-    heaviest-remaining first; within a victim, cells come from the tail
+    heaviest-remaining first; within a victim, items come from the tail
     backwards so the thief and the victim converge from opposite ends.
     """
     victims = []
     for index, shard in enumerate(shards):
         if index == own_index:
             continue
-        pending = [cell for cell in shard if remaining(cell)]
+        pending = [item for item in shard if remaining(item)]
         if pending:
             victims.append((len(pending), -index, pending))
     victims.sort(reverse=True)

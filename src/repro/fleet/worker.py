@@ -1,33 +1,45 @@
 """One fleet worker process: claim, execute, publish, steal.
 
 A worker owns one shard of the run's affinity-ordered cells
-(:mod:`repro.fleet.scheduler`) and works it head to tail, leasing each
-cell through the :class:`~repro.fleet.queue.FleetQueue` before timing
-it.  Because a shard keeps all of a trace's cells contiguous, the
-worker holds one :class:`~repro.uarch.incremental.IncrementalSession`
-per trace: consecutive cells differ in a knob or two, so each step is a
-planned incremental re-simulation over the already-digested trace and
-in-memory outcome banks, not a cold sweep.
+(:mod:`repro.fleet.scheduler`) and works it head to tail one *unit* at
+a time: it leases a unit (the cells of one trace and one cache and
+predictor bank pair) through the :class:`~repro.fleet.queue.FleetQueue`,
+times all of the unit's configs with one
+:meth:`~repro.uarch.incremental.IncrementalSession.run_grid` call — a
+single ``simulate_pipeline_sweep`` over the already-digested trace and
+in-memory outcome banks — and publishes one result file for the unit.
+Because a shard keeps all of a trace's units contiguous, the worker
+holds one session per trace, and the session plans each config against
+the one before it.
 
-When its own shard drains the worker steals from the other shards'
-tails; when nothing is claimable it reclaims abandoned leases (dead
-pid / expired TTL) and retries, so a killed sibling's in-flight cell is
-re-executed rather than stranded.  Each retry pass re-scans the own
-shard too: a thief can die holding a lease on an own-shard cell, and
-after the reclaim the shard owner may be the only worker left to run
-it (thieves never steal from their own shard).  While a cell executes
-its lease is refreshed from a daemon heartbeat thread, so a cell that
-outlives the lease TTL (trace acquisition under a 20M-instruction
-functional cap can) is never mistaken for abandoned.  Every published
-result is
+The worker keeps the set of done units in memory and lists the run
+directory only when its own shard is drained.  It then steals units
+from the other shards' tails; when nothing is claimable it reclaims
+abandoned leases (dead pid / expired TTL) and retries, so a killed
+sibling's in-flight unit is re-executed rather than stranded.  Each
+retry pass re-scans the own shard too: a thief can die holding a lease
+on an own-shard unit, and after the reclaim the shard owner may be the
+only worker left to run it (thieves never steal from their own shard).
+While a unit executes its lease is refreshed from one daemon heartbeat
+thread per worker, so a unit that outlives the lease TTL (trace
+acquisition under a 20M-instruction functional cap can) is never
+mistaken for abandoned.  The metrics of every published cell are
 deterministic — exclusively :func:`cell_metrics` fields, which hold
 only simulation-defined numbers — so re-execution after a crash (or a
-racing duplicate publish) always writes the same bytes.
+racing duplicate publish) always yields the same matrix.
+
+An exception while a unit executes does not stop the worker: it
+records the unit as failed, with the exception's type and message, and
+moves on.  ``repro fleet status`` lists the failed cells and
+``repro fleet resume`` runs them again.
 
 ``chaos`` is the fault-injection hook used by tests and the CI smoke
 job: ``(worker_index, after_cells)`` makes that worker SIGKILL itself
-*mid-cell* — after claiming its next cell but before publishing — once
-it has completed ``after_cells`` cells.
+*mid-unit* — after claiming a unit but before publishing it — at the
+first unit that would take it past ``after_cells`` completed cells.  It
+dies with at most ``after_cells`` cells published, in the unit that
+holds its next cell; with one-cell units that is the old per-cell
+meaning exactly.
 """
 
 import json
@@ -35,6 +47,7 @@ import os
 import signal
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from contextlib import contextmanager
 
@@ -42,7 +55,12 @@ from repro.core.synthesizer import SynthesisParameters
 from repro.exec.artifacts import pipeline_artifacts
 from repro.fleet.queue import FleetQueue, _pid_alive
 from repro.fleet.recipe import recipe_from_dict
-from repro.fleet.scheduler import build_shards, steal_candidates
+from repro.fleet.scheduler import (
+    build_shards,
+    build_units,
+    count_cells,
+    steal_candidates,
+)
 from repro.isa.assembler import assemble
 from repro.obs.journal import emit_event, emit_metric_deltas
 from repro.obs.logging import get_logger
@@ -54,8 +72,9 @@ from repro.workloads import get_workload
 
 _LOG = get_logger("repro.fleet.worker")
 
-#: Result payload layout version.
-RESULT_SCHEMA_VERSION = 1
+#: Result payload layout version (1: one file per cell; 2: one file
+#: per unit holding a list of per-cell entries).
+RESULT_SCHEMA_VERSION = 2
 
 #: In-process IncrementalSessions kept warm at once (a session pins its
 #: trace and every derived bank in memory; two covers the common
@@ -65,7 +84,7 @@ _MAX_SESSIONS = 2
 #: Poll interval while waiting on other workers' live leases.
 _POLL_SECONDS = 0.05
 
-#: A held lease is refreshed at this fraction of the TTL while its cell
+#: A held lease is refreshed at this fraction of the TTL while its unit
 #: executes, keeping cross-host TTL reclaim honest for slow cells.
 _HEARTBEAT_FRACTION = 1 / 3
 
@@ -113,26 +132,35 @@ def cell_metrics(result, power):
 
 
 class FleetWorker:
-    """Executes one worker index's share of a fleet run."""
+    """Executes one worker index's share of a fleet run.
+
+    ``cells`` is the run's expanded cell list when the caller already
+    has it; otherwise the worker expands the run directory's recipe.
+    """
 
     def __init__(self, run_dir, worker_index, n_workers,
-                 lease_ttl=None, chaos=None):
+                 lease_ttl=None, chaos=None, cells=None):
         self.run_dir = run_dir
         self.index = worker_index
         self.n_workers = max(1, n_workers)
         recipe_path = os.path.join(run_dir, RECIPE_FILENAME)
         with open(recipe_path) as handle:
             self.recipe = recipe_from_dict(json.load(handle))
-        self.cells = self.recipe.expand()
+        self.cells = self.recipe.expand() if cells is None else cells
         self.shards = build_shards(self.cells, self.n_workers)
+        self.unit_shards = [build_units(shard) for shard in self.shards]
+        self.units = [unit for shard in self.unit_shards for unit in shard]
         kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
         self.queue = FleetQueue(run_dir, **kwargs)
         self.chaos = parse_chaos(chaos)
         self.worker_id = f"w{worker_index}-{os.getpid()}"
         self.executed = 0
         self.stolen = 0
+        self.failed = 0
         self.acquire_seconds = 0.0
         self.uarch_seconds = 0.0
+        self._done = set()
+        self._done_cells = 0
         self._sessions = OrderedDict()
         self._held = None
         self._beat_lock = threading.Lock()
@@ -173,45 +201,61 @@ class FleetWorker:
             self._sessions.popitem(last=False)
         return session
 
-    def _execute(self, cell):
-        session = self._session_for(cell)
+    def _execute(self, unit):
+        """Time every cell of ``unit`` in one sweep; the result payload."""
+        session = self._session_for(unit.cells[0])
+        configs = [cell.config for cell in unit.cells]
         timing_started = time.perf_counter()
-        result = session.run(cell.config)
+        results = session.run_grid(configs)
         self.uarch_seconds += time.perf_counter() - timing_started
-        power = shared_power_model(cell.config).evaluate(result).total
+        entries = []
+        for cell, config, result in zip(unit.cells, configs, results):
+            power = shared_power_model(config).evaluate(result).total
+            entries.append({"cell": cell.cell_id,
+                            "metrics": cell_metrics(result, power),
+                            "wall_seconds": result.wall_seconds})
         return {
             "schema": RESULT_SCHEMA_VERSION,
-            "cell": cell.to_dict(),
-            "metrics": cell_metrics(result, power),
-            "meta": {
-                "worker": self.worker_id,
-                "wall_seconds": result.wall_seconds,
-                "ts": round(time.time(), 6),
-            },
+            "unit": unit.unit_id,
+            "cells": entries,
+            "meta": {"worker": self.worker_id,
+                     "ts": round(time.time(), 6)},
+        }
+
+    def _failure(self, unit, exc):
+        return {
+            "schema": RESULT_SCHEMA_VERSION,
+            "unit": unit.unit_id,
+            "cells": [{"cell": cell.cell_id} for cell in unit.cells],
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "traceback": traceback.format_exc(),
+            "meta": {"worker": self.worker_id,
+                     "ts": round(time.time(), 6)},
         }
 
     # ------------------------------------------------------------------
-    def _maybe_chaos_kill(self, cell):
+    def _maybe_chaos_kill(self, unit):
         if self.chaos is None:
             return
         index, after = self.chaos
-        if self.index == index and self.executed >= after:
-            # Mid-cell on purpose: the lease for ``cell`` is held and
+        if self.index == index and \
+                self.executed + len(unit.cells) > after:
+            # Mid-unit on purpose: the lease for ``unit`` is held and
             # will be stranded until a sibling (or resume) reclaims it.
             _LOG.warning("fleet.chaos_kill", worker=self.worker_id,
-                         cell=cell.cell_id, executed=self.executed)
-            emit_event("fleet", event="chaos_kill", cell=cell.cell_id,
+                         unit=unit.unit_id, executed=self.executed)
+            emit_event("fleet", event="chaos_kill", unit=unit.unit_id,
                        worker=self.worker_id)
             os.kill(os.getpid(), signal.SIGKILL)
 
     @contextmanager
-    def _heartbeating(self, cell_id):
-        """Refresh the held lease while the cell executes, so a cell
+    def _heartbeating(self, unit_id):
+        """Refresh the held lease while the unit executes, so a unit
         outliving the TTL is never TTL-reclaimed by a cross-host
         sibling mid-flight.
 
         One daemon thread per worker beats whichever lease is held.
-        The held id is cleared under the lock before the cell's result
+        The held id is cleared under the lock before the unit's result
         is published, so no beat can recreate a released lease.
         """
         if self._beat_thread is None:
@@ -222,7 +266,7 @@ class FleetWorker:
                 name=f"fleet-hb-{self.worker_id}")
             self._beat_thread.start()
         with self._beat_lock:
-            self._held = cell_id
+            self._held = unit_id
         try:
             yield
         finally:
@@ -235,37 +279,49 @@ class FleetWorker:
                 if self._held is not None:
                     self.queue.heartbeat(self._held, self.worker_id)
 
-    def _try_cell(self, cell, stolen=False):
-        if not self.queue.claim(cell.cell_id, self.worker_id,
+    def _try_unit(self, unit, stolen=False):
+        if not self.queue.claim(unit.unit_id, self.worker_id,
                                 stolen=stolen):
             return False
-        self._maybe_chaos_kill(cell)
-        with TRACER.span("fleet.cell", cell=cell.cell_id,
-                         kernel=cell.kernel, config=cell.config.name,
+        self._maybe_chaos_kill(unit)
+        cells = len(unit.cells)
+        with TRACER.span("fleet.unit", unit=unit.unit_id,
+                         kernel=unit.cells[0].kernel, cells=cells,
                          stolen=stolen), \
-                self._heartbeating(cell.cell_id):
-            payload = self._execute(cell)
-        self.queue.complete(cell.cell_id, payload, worker=self.worker_id)
-        self.executed += 1
-        if stolen:
-            self.stolen += 1
-        done = len(self.queue.completed_ids())
-        emit_event("progress", done=done, total=len(self.cells),
-                   unit="cells", label=cell.cell_id)
+                self._heartbeating(unit.unit_id):
+            try:
+                payload = self._execute(unit)
+            except Exception as exc:  # noqa: BLE001 - contained per unit
+                payload = self._failure(unit, exc)
+        self._done.add(unit.unit_id)
+        self._done_cells += cells
+        if "error" in payload:
+            _LOG.warning("fleet.unit_failed", worker=self.worker_id,
+                         unit=unit.unit_id, **payload["error"])
+            self.queue.fail(unit.unit_id, payload, worker=self.worker_id)
+            self.failed += cells
+        else:
+            self.queue.complete(unit.unit_id, payload,
+                                worker=self.worker_id)
+            self.executed += cells
+            if stolen:
+                self.stolen += cells
+        emit_event("progress", done=self._done_cells,
+                   total=len(self.cells), unit="cells", label=unit.unit_id)
         emit_metric_deltas()
         return True
 
-    def _pending(self):
-        completed = self.queue.completed_ids()
-        return [cell for cell in self.cells
-                if cell.cell_id not in completed]
+    def _refresh_done(self):
+        """Re-list the run directory's done units (results + failures)."""
+        self._done = self.queue.done_ids()
+        self._done_cells = count_cells(self.units, self._done)
 
     def _live_lease_pending(self, pending):
-        """Whether any pending cell's lease looks alive (wait, don't
+        """Whether any pending unit's lease looks alive (wait, don't
         quit): held by a live same-host pid or heartbeat-fresh."""
         now = time.time()
-        for cell in pending:
-            info = self.queue.lease_info(cell.cell_id)
+        for unit in pending:
+            info = self.queue.lease_info(unit.unit_id)
             if info is None:
                 return True  # released between scans: claimable next pass
             if (info.get("host") == self.queue.host
@@ -279,39 +335,41 @@ class FleetWorker:
 
     def run(self):
         """Work the shard, then steal, until the matrix has no pending
-        claimable cells; returns a summary dict."""
+        claimable units; returns a summary dict."""
         self.queue.ensure_dirs()
         started = time.perf_counter()
-        own = self.shards[self.index] if self.index < len(self.shards) \
-            else []
+        own = self.unit_shards[self.index] \
+            if self.index < len(self.unit_shards) else []
         emit_event("fleet", event="worker_begin", worker=self.worker_id,
-                   shard=self.index, shard_cells=len(own),
+                   shard=self.index, shard_units=len(own),
+                   shard_cells=sum(len(unit.cells) for unit in own),
                    total=len(self.cells))
-        for cell in own:
-            self._try_cell(cell)
+        self._refresh_done()
         while True:
             progress = False
-            completed = self.queue.completed_ids()
-            # Re-scan the own shard before stealing: a thief may have
-            # died holding one of these cells and, since thieves never
-            # steal from their own shard, after the reclaim the shard
-            # owner can be the only worker left able to claim it.
-            for cell in own:
-                if cell.cell_id in completed:
-                    continue
-                if self._try_cell(cell):
+            # Each pass re-scans the own shard before stealing: a thief
+            # may have died holding one of these units and, since
+            # thieves never steal from their own shard, after the
+            # reclaim the shard owner can be the only worker left able
+            # to claim it.
+            for unit in own:
+                if unit.unit_id not in self._done and self._try_unit(unit):
                     progress = True
-            for cell in steal_candidates(
-                    self.shards, self.index,
-                    lambda cell: cell.cell_id not in completed):
-                if self._try_cell(cell, stolen=True):
+            # The own shard is drained: learn what the siblings did.
+            self._refresh_done()
+            for unit in steal_candidates(
+                    self.unit_shards, self.index,
+                    lambda unit: unit.unit_id not in self._done):
+                if self._try_unit(unit, stolen=True):
                     progress = True
-            pending = self._pending()
+            self._refresh_done()
+            pending = [unit for unit in self.units
+                       if unit.unit_id not in self._done]
             if not pending:
                 break
             if progress:
                 continue
-            if self.queue.reclaim((cell.cell_id for cell in pending),
+            if self.queue.reclaim((unit.unit_id for unit in pending),
                                   worker=self.worker_id):
                 continue
             if self._live_lease_pending(pending):
@@ -324,6 +382,7 @@ class FleetWorker:
             "index": self.index,
             "executed": self.executed,
             "stolen": self.stolen,
+            "failed": self.failed,
             "wall_seconds": round(time.perf_counter() - started, 6),
             # Where the wall went: functional acquisition vs pipeline
             # timing (mirrors the sim.acquire_seconds/uarch.time_seconds
@@ -346,8 +405,8 @@ class FleetWorker:
 
 
 def worker_entry(run_dir, worker_index, n_workers, lease_ttl=None,
-                 chaos=None):
+                 chaos=None, cells=None):
     """Module-level process target (picklable for multiprocessing)."""
     worker = FleetWorker(run_dir, worker_index, n_workers,
-                         lease_ttl=lease_ttl, chaos=chaos)
+                         lease_ttl=lease_ttl, chaos=chaos, cells=cells)
     return worker.run()

@@ -23,9 +23,10 @@ This module makes that reuse *inspectable and accountable*: the
 planners diff two configs (or two profiles) against those key
 functions and report exactly which artifacts the next cell will reuse,
 before it runs.  :class:`IncrementalSession` wraps the sweep engine
-with that accounting — every ``run`` emits a ``sweep.incremental_plan``
-journal event and feeds the ``incremental_*`` counters that run
-manifests and ``repro report`` display.
+with that accounting — every config a ``run`` or ``run_grid`` times
+after the first emits a ``sweep.incremental_plan`` journal event and
+feeds the ``incremental_*`` counters that run manifests and
+``repro report`` display.
 
 Correctness is by construction, not by trust: the session delegates
 timing to :func:`repro.uarch.sweep.simulate_pipeline_sweep`, whose
@@ -171,13 +172,13 @@ def _account(plan):
 class IncrementalSession:
     """Stateful re-simulation of one trace across config refinements.
 
-    Successive :meth:`run` calls share the trace digest and every
-    config-keyed bank through the sweep engine's per-trace caches, so
-    a single-knob edit re-times in milliseconds while remaining
-    bit-identical to a cold ``PipelineModel.run``.  Each call after the
-    first plans the delta from the previous config, emits the
-    ``sweep.incremental_plan`` journal event, and keeps the plan at
-    :attr:`last_plan` for callers that want to display it.
+    Successive :meth:`run` and :meth:`run_grid` calls share the trace
+    digest and every config-keyed bank through the sweep engine's
+    per-trace caches, so a single-knob edit re-times in milliseconds
+    while remaining bit-identical to a cold ``PipelineModel.run``.  Each
+    config after the first plans the delta from the previous config,
+    emits the ``sweep.incremental_plan`` journal event, and keeps the
+    plan at :attr:`last_plan` for callers that want to display it.
     """
 
     def __init__(self, trace, max_instructions=None):
@@ -201,23 +202,24 @@ class IncrementalSession:
                                       backend=backend)
         return cls(digest.trace, max_instructions=max_instructions)
 
-    def plan(self, config):
-        """The reuse plan :meth:`run` would realize, without running."""
-        if self.last_config is None:
-            return None
-        return plan_incremental(self.last_config, config)
-
     def run(self, config):
         """Time ``config``; returns the engine's ``PipelineResult``."""
-        plan = self.plan(config)
-        if plan is not None:
-            self.last_plan = plan
-            _account(plan)
-        [result] = simulate_pipeline_sweep(
-            self.trace, [config], max_instructions=self.max_instructions)
-        self.last_config = config
+        [result] = self.run_grid([config])
         return result
 
     def run_grid(self, configs):
-        """Time a whole grid, planning each cell against the last."""
-        return [self.run(config) for config in configs]
+        """Time a whole grid in one sweep call, planning each config
+        against the one before it (the first against the session's
+        last config).  Returns one ``PipelineResult`` per config."""
+        configs = list(configs)
+        previous = self.last_config
+        for config in configs:
+            if previous is not None:
+                self.last_plan = plan_incremental(previous, config)
+                _account(self.last_plan)
+            previous = config
+        results = simulate_pipeline_sweep(
+            self.trace, configs, max_instructions=self.max_instructions)
+        if configs:
+            self.last_config = configs[-1]
+        return results

@@ -8,6 +8,7 @@ Use :func:`get_workload` / :func:`build_workload` for one program and
 :func:`all_workloads` for the whole suite.
 """
 
+import functools
 from dataclasses import dataclass
 
 from repro.isa.assembler import assemble
@@ -24,7 +25,12 @@ class WorkloadSpec:
     source_builder: object
 
     def source(self):
-        """Generate the workload's assembly source (deterministic)."""
+        """The workload's assembly source.  Builders are deterministic,
+        so each spec runs its builder once and reuses the text."""
+        return self._source_text
+
+    @functools.cached_property
+    def _source_text(self):
         return self.source_builder()
 
     def build(self):

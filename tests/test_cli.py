@@ -332,6 +332,26 @@ class TestFleet:
         assert main(["fleet", "resume", run_dir]) == 0
         assert "2/2 cells complete" in capsys.readouterr().out
 
+    def test_status_lists_failed_cells(self, tmp_path, capsys,
+                                       monkeypatch):
+        import repro.uarch.incremental as incremental
+
+        def broken_sweep(trace, configs, **kwargs):
+            raise ValueError("bad bank")
+        recipe = self.write_recipe(tmp_path)
+        run_dir = str(tmp_path / "run")
+        with monkeypatch.context() as patch:
+            patch.setattr(incremental, "simulate_pipeline_sweep",
+                          broken_sweep)
+            assert main(["fleet", "run", recipe, "--dir", run_dir]) == 1
+        assert "2 cell(s) failed" in capsys.readouterr().out
+        assert main(["fleet", "status", run_dir]) == 0
+        out = capsys.readouterr().out
+        assert "0/2 cells complete" in out and "2 failed" in out
+        assert out.count("ValueError: bad bank") == 2
+        assert main(["fleet", "resume", run_dir]) == 0
+        assert "2/2 cells complete" in capsys.readouterr().out
+
     def test_missing_recipe_bad_target(self, tmp_path):
         assert main(["fleet", "run",
                      str(tmp_path / "nope.json")]) == EXIT_BAD_TARGET

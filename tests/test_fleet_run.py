@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import repro.uarch.incremental as incremental
 from repro.fleet import (
     FleetError,
     FleetQueue,
@@ -18,6 +19,8 @@ from repro.fleet import (
     matrix_bytes,
     run_fleet,
 )
+from repro.fleet.run import run_units
+from repro.uarch.sweep import sweep_stats_snapshot
 
 
 def dead_pid():
@@ -148,7 +151,7 @@ class TestStatus:
 
 
 class TestCrashResume:
-    """The acceptance scenario: SIGKILL a worker mid-cell, resume, and
+    """The acceptance scenario: SIGKILL a worker mid-unit, resume, and
     get a byte-identical matrix with completed cells skipped."""
 
     def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
@@ -160,7 +163,7 @@ class TestCrashResume:
         assert crashed["complete"] is False
         assert crashed["dead_workers"] == 1
         assert crashed["completed"] == 2  # chaos fired after 2 cells
-        # The stranded mid-cell lease was reclaimed by the orchestrator.
+        # The stranded mid-unit lease was reclaimed by the orchestrator.
         queue = FleetQueue(run_dir)
         assert queue.leased_ids() - queue.completed_ids() == set()
 
@@ -172,8 +175,9 @@ class TestCrashResume:
         # Surviving results were never rewritten (bytes and mtimes)...
         after = result_snapshot(run_dir)
         assert {name: after[name] for name in survivors} == survivors
-        # ...no duplicates appeared...
-        assert len(after) == 8
+        # ...no duplicates appeared (one file per unit: 2 kernels x 2
+        # predictors)...
+        assert len(after) == 4
         # ...and the final matrix is byte-identical to the
         # never-interrupted reference run.
         assert matrix_bytes(run_dir) == matrix_bytes(reference)
@@ -183,9 +187,9 @@ class TestCrashResume:
         run_fleet(reference, GRID)
 
         run_dir = str(tmp_path / "chaotic")
-        # Worker 0 dies mid-cell after 1 cell; worker 1 must pick up the
-        # stranded lease (dead-pid fast path) and finish the whole
-        # matrix in this single invocation.
+        # Worker 0 dies mid-unit in its first (two-cell) unit; worker 1
+        # must pick up the stranded lease (dead-pid fast path) and
+        # finish the whole matrix in this single invocation.
         summary = run_fleet(run_dir, GRID, workers=2, chaos="0:1")
         assert summary["dead_workers"] == 1
         assert summary["complete"] is True
@@ -208,17 +212,17 @@ class TestCrashResume:
                    for event in reclaims)
 
     def test_dead_thief_own_shard_lease_recovered(self, tmp_path):
-        """Regression: a dead thief's lease on an own-shard cell must be
+        """Regression: a dead thief's lease on an own-shard unit must be
         re-run by the shard owner, not livelock the poll loop (thieves
         never steal from their own shard, so after the reclaim the
         owner can be the only worker able to claim it)."""
         run_dir = str(tmp_path / "run")
         init_run(run_dir, PAIR)
         worker = FleetWorker(run_dir, 0, 1)
-        target = worker.shards[0][0]
+        target = worker.unit_shards[0][0]
         record = {"worker": "thief", "pid": dead_pid(),
                   "host": worker.queue.host, "ts": 9_999_999_999.0}
-        with open(worker.queue.lease_path(target.cell_id), "w") as fh:
+        with open(worker.queue.lease_path(target.unit_id), "w") as fh:
             json.dump(record, fh)
         done = {}
         thread = threading.Thread(
@@ -226,10 +230,10 @@ class TestCrashResume:
             daemon=True)
         thread.start()
         thread.join(timeout=120)
-        assert "summary" in done, "worker livelocked on own-shard cell"
+        assert "summary" in done, "worker livelocked on own-shard unit"
         assert done["summary"]["executed"] == 2
         assert FleetQueue(run_dir).completed_ids() == \
-            {cell.cell_id for cell in worker.cells}
+            {unit.unit_id for unit in worker.units}
 
 
 class TestHeartbeat:
@@ -265,3 +269,115 @@ class TestHeartbeat:
                        and event.get("reason") == "expired"
                        for event in events
                        if event.get("kind") == "fleet")
+
+
+class TestUnits:
+    def test_results_hold_one_file_per_unit(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        cells = init_run(run_dir, GRID)
+        run_fleet(run_dir)
+        units = run_units(cells)
+        assert len(units) == 4  # 2 kernels x 2 predictors, 2 widths each
+        assert sorted(os.listdir(os.path.join(run_dir, "results"))) == \
+            sorted(f"{unit.unit_id}.json" for unit in units)
+        for unit in units:
+            payload = FleetQueue(run_dir).read_result(unit.unit_id)
+            assert payload["schema"] == 2
+            assert [entry["cell"] for entry in payload["cells"]] == \
+                [cell.cell_id for cell in unit.cells]
+            assert all(entry["wall_seconds"] > 0
+                       for entry in payload["cells"])
+
+    def test_one_sweep_per_unit_one_plan_per_config(self, tmp_path):
+        before = sweep_stats_snapshot()
+        run_fleet(str(tmp_path / "run"), GRID)
+        after = sweep_stats_snapshot()
+
+        def delta(key):
+            return after[key] - before[key]
+        assert delta("grids") == 4
+        assert delta("configs") == 8
+        # Every config after the first of its trace's session is
+        # planned against the config before it.
+        assert delta("incremental_plans") == 8 - 2
+
+
+def fail_for_kernel(monkeypatch, kernel):
+    real = incremental.simulate_pipeline_sweep
+
+    def sweep(trace, configs, **kwargs):
+        if trace.program.name == kernel:
+            raise RuntimeError(f"injected fault in {kernel}")
+        return real(trace, configs, **kwargs)
+    monkeypatch.setattr(incremental, "simulate_pipeline_sweep", sweep)
+
+
+class TestFailures:
+    def test_failed_unit_is_contained_then_retried(self, tmp_path,
+                                                   monkeypatch):
+        reference = str(tmp_path / "reference")
+        run_fleet(reference, GRID)
+
+        run_dir = str(tmp_path / "run")
+        with monkeypatch.context() as patch:
+            fail_for_kernel(patch, "sha")
+            summary = run_fleet(run_dir, GRID)
+        assert summary["dead_workers"] == 0
+        assert summary["completed"] == 4 and summary["failed"] == 4
+        assert summary["complete"] is False
+        assert not os.path.exists(os.path.join(run_dir, "matrix.json"))
+
+        status = fleet_status(run_dir)
+        assert status["completed"] == 4 and status["failed"] == 4
+        assert status["pending"] == 0
+        assert {failure["kernel"] for failure in status["failures"]} == \
+            {"sha"}
+        assert len({failure["cell_id"]
+                    for failure in status["failures"]}) == 4
+        assert all(failure["error"] == "RuntimeError: injected fault in sha"
+                   for failure in status["failures"])
+
+        survivors = result_snapshot(run_dir)
+        resumed = run_fleet(run_dir)  # fault removed: resume retries
+        assert resumed["complete"] is True
+        assert resumed["skipped"] == 4 and resumed["executed"] == 4
+        assert resumed["failed"] == 0
+        after = result_snapshot(run_dir)
+        assert {name: after[name] for name in survivors} == survivors
+        assert fleet_status(run_dir)["failures"] == []
+        assert open(os.path.join(run_dir, "matrix.json"), "rb").read() \
+            == matrix_bytes(reference)
+
+    def test_failure_is_journaled(self, tmp_path, monkeypatch):
+        run_dir = str(tmp_path / "run")
+        fail_for_kernel(monkeypatch, "crc32")
+        run_fleet(run_dir, PAIR)
+        events = []
+        for name in os.listdir(run_dir):
+            if name.startswith("journal-") and name.endswith(".jsonl"):
+                with open(os.path.join(run_dir, name)) as handle:
+                    events.extend(json.loads(line) for line in handle
+                                  if line.strip())
+        [failed] = [event for event in events
+                    if event.get("kind") == "fleet"
+                    and event.get("event") == "fail"]
+        assert failed["error"] == {"type": "RuntimeError",
+                                   "message": "injected fault in crc32"}
+
+
+class TestOldRunDirectory:
+    def test_schema_1_results_are_refused(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        cells = init_run(run_dir, GRID)
+        # A schema-1 run published one file per cell, named by cell id.
+        FleetQueue(run_dir).complete(cells[0].cell_id, {
+            "schema": 1, "cell": cells[0].to_dict(),
+            "metrics": {"cycles": 1}})
+        before = sorted(os.listdir(os.path.join(run_dir, "results")))
+        for action in (run_fleet, fleet_status):
+            with pytest.raises(FleetError,
+                               match="result schema 1.*fresh run directory"):
+                action(run_dir)
+        assert sorted(os.listdir(os.path.join(run_dir, "results"))) == \
+            before
+        assert not os.listdir(os.path.join(run_dir, "leases"))

@@ -4,10 +4,12 @@ from repro.fleet import Recipe
 from repro.fleet.scheduler import (
     affinity_key,
     build_shards,
+    build_units,
     group_by_trace,
     order_cells,
     steal_candidates,
 )
+from repro.uarch.sweep import _hierarchy_key, _predictor_key
 
 
 def grid_cells(kernels=("crc32", "sha", "qsort"), **overrides):
@@ -114,3 +116,48 @@ class TestStealing:
     def test_empty_when_nothing_remains(self):
         shards = build_shards(grid_cells(), 2)
         assert list(steal_candidates(shards, 0, lambda cell: False)) == []
+
+
+def shard_units(cells, n_shards):
+    return [build_units(shard) for shard in build_shards(cells, n_shards)]
+
+
+class TestUnits:
+    def test_units_cover_every_cell_once(self):
+        cells = grid_cells()
+        for n_shards in (1, 2, 3):
+            flat = [cell.cell_id for units in shard_units(cells, n_shards)
+                    for unit in units for cell in unit.cells]
+            assert sorted(flat) == sorted(cell.cell_id for cell in cells)
+            assert len(flat) == len(set(flat))
+
+    def test_unit_is_one_trace_and_one_bank_pair(self):
+        # 3 kernels x 2 hierarchies x 2 predictors, 2 widths in each.
+        units = build_units(order_cells(grid_cells()))
+        assert len(units) == 12
+        for unit in units:
+            assert len({cell.trace_key for cell in unit.cells}) == 1
+            assert len({(_hierarchy_key(cell.config),
+                         _predictor_key(cell.config))
+                        for cell in unit.cells}) == 1
+            assert len(unit.cells) == 2
+
+    def test_unit_ids_stable_across_expansions_and_shard_counts(self):
+        def ids(n_shards):
+            return {unit.unit_id: [cell.cell_id for cell in unit.cells]
+                    for units in shard_units(grid_cells(), n_shards)
+                    for unit in units}
+        reference = ids(1)
+        assert len(reference) == 12
+        for n_shards in (1, 2, 3, 5):
+            assert ids(n_shards) == reference
+
+    def test_unit_ids_follow_member_cells(self):
+        units = build_units(order_cells(grid_cells()))
+        other = build_units(order_cells(grid_cells(
+            axes={"l1d": [[8192, 2, 32], [16384, 2, 32]],
+                  "predictor": ["gap", "bimodal"], "width": [1, 4]})))
+        assert not {unit.unit_id for unit in units} & \
+            {unit.unit_id for unit in other}
+        assert all(unit.unit_id.startswith(unit.cells[0].kernel)
+                   for unit in units)

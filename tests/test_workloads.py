@@ -64,6 +64,13 @@ class TestRegistry:
         spec = get_workload("crc32")
         assert spec.source() == spec.source()
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_cached_source_matches_fresh_build(self, name):
+        spec = get_workload(name)
+        cached = spec.source()
+        assert spec.source() is cached  # the builder ran once
+        assert cached == spec.source_builder()
+
 
 @pytest.mark.parametrize("name", NAMES)
 class TestEveryWorkload:
